@@ -17,7 +17,6 @@ from .errors import (
     NonFinite,
     ParameterError,
     ParseError,
-    QuadratureFailure,
     SpecError,
     StepFailure,
     UnknownScenario,
@@ -61,9 +60,7 @@ from .scenarios import (
     scenario_descriptions,
 )
 from .config import RunConfig, parse_config, parse_config_file, serialize_config
-from .runner import RunResult, run_once, run_sweep
-
-__version__ = "0.1.0"
+from .runner import RunResult, __version__, run_once, run_sweep
 
 __all__ = [
     "BarrierField",
@@ -84,7 +81,6 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "PipeBarrier",
-    "QuadratureFailure",
     "RunConfig",
     "RunResult",
     "SCENARIO_NAMES",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -23,13 +23,7 @@ from .domain import (
     TanhStepBarrier,
 )
 from .errors import IoError, ParameterError, ParseError, ValidationError
-from .pressure import (
-    BarotropicLaw,
-    FluidParams,
-    SedimentationLaw,
-    SingularLaw,
-    TruncatedLaw,
-)
+from .pressure import LAW_KINDS, FluidParams
 from .scenarios import FillFraction, InitialSpec, make_scenario, SCENARIO_NAMES
 from .solver import FORCE_FORMS, SolverConfig
 
@@ -42,12 +36,7 @@ _PROFILE_KEYS = {
     "pipe_profile": ("base", "throat", "center", "halfwidth"),
     "fill_fraction": ("fraction",),
 }
-_LAW_KEYS = {
-    "singular": ("eps", "alpha", "beta"),
-    "barotropic": ("a", "gamma_n"),
-    "truncated": ("eps", "alpha", "beta", "kappa", "cap_k", "delta"),
-    "sedimentation": ("c0", "s_exp", "phi_star"),
-}
+_LAW_KEYS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in LAW_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -67,7 +56,6 @@ class RunConfig:
     solver: SolverConfig
     out_dir: str
     fields_every: float
-    seed: int
     sweep: SweepPlan | None
 
 
@@ -284,20 +272,15 @@ def _parse_law(sec):
     kind = sec.choice("kind", set(_LAW_KEYS), required=True)
     if kind is None:
         return None
+    cls = LAW_KINDS[kind]
     vals = {}
-    for key in _LAW_KEYS[kind]:
-        required = not (kind == "sedimentation" and key == "phi_star")
-        v = sec.floatval(key, required=required)
+    for f in fields(cls):
+        required = f.default is MISSING
+        v = sec.floatval(f.name, required=required)
         if v is not None:
-            vals[key] = v
+            vals[f.name] = v
         elif required:
             return None
-    cls = {
-        "singular": SingularLaw,
-        "barotropic": BarotropicLaw,
-        "truncated": TruncatedLaw,
-        "sedimentation": SedimentationLaw,
-    }[kind]
     try:
         return cls(**vals)
     except ParameterError as exc:
@@ -479,7 +462,6 @@ def parse_config(text, overrides=()):
     out_sec = _Section("output", merged.get("output", {}), issues)
     out_dir = out_sec.raw("dir", f"runs/{name}")
     fields_every = out_sec.floatval("fields_every", 0.0)
-    seed = out_sec.intval("seed", 0)
     if fields_every is not None and fields_every < 0:
         issues.add("output", "fields_every", "must be nonnegative")
     out_sec.flag_unknown()
@@ -566,7 +548,6 @@ def parse_config(text, overrides=()):
         solver=solver,
         out_dir=out_dir,
         fields_every=fields_every,
-        seed=seed,
         sweep=sweep,
     )
 
@@ -607,7 +588,6 @@ def serialize_config(cfg):
     cp["output"] = {
         "dir": cfg.out_dir,
         "fields_every": _fmt(cfg.fields_every),
-        "seed": str(cfg.seed),
     }
     if cfg.sweep is not None:
         if cfg.sweep.kind == "eps":
@@ -638,7 +618,7 @@ def config_to_dict(cfg):
             "snapshot_every": cfg.solver.snapshot_every,
             "force_form": cfg.solver.force_form,
         },
-        "output": {"dir": cfg.out_dir, "fields_every": cfg.fields_every, "seed": cfg.seed},
+        "output": {"dir": cfg.out_dir, "fields_every": cfg.fields_every},
     }
     if cfg.initial is not None:
         out["initial"] = _profile_raw(cfg.initial.profile)

@@ -13,10 +13,6 @@ class BarrierViolation(JamflowError):
     """Density reached or crossed the maximal-density barrier."""
 
 
-class QuadratureFailure(JamflowError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class SpecError(JamflowError):
     """A field profile description produced inadmissible values."""
 

@@ -22,10 +22,28 @@ pressure grows faster than linearly there), and equivalently by
 ``energy_potential + r * energy_potential' = enthalpy``, which the test
 suite checks with finite differences.
 
-Closed forms are used whenever the exponents allow them (integer numerator
-exponent for the steep laws); otherwise the potentials fall back to
-adaptive quadrature at relative tolerance 1e-10, cached per law and
-argument.
+Every potential is a closed form.  The steep laws reduce to the
+incomplete beta integral (DLMF 8.17.7)
+
+    int_0^r s**(alpha-2) * (1-s)**(-beta) ds
+        = r**(alpha-1) / (alpha-1) * 2F1(alpha-1, beta; alpha; r),
+
+and so does the sedimentation law once its argument is rescaled by the
+packing fraction (beta = 1 there).  Any alpha > 1 is supported.
+
+An integer alpha takes a finite binomial sum instead of ``hyp2f1``: on a
+9604-cell array the sum costs 57 us for alpha = beta = 2 and the
+hypergeometric function 484 us (one Xeon core), a gap that adds up over
+the thousands of steps of a 2D run.  Both forms agree with 50-digit
+references to about 1e-14 up to r = 1 - 1e-6.
+
+The hypergeometric form loses accuracy in one corner.  When
+c - a - b = 1 - beta is close to, but not exactly, an integer, scipy's
+connection formulas cancel nearly equal terms.  For |beta - 1| <= 1e-5 and
+r >= 0.9999 the relative error reaches 1e-6 to 5e-5, and 5e-4 at
+|beta - 1| = 1e-12; near beta = 2 it stays below 1e-6, near beta = 3
+below 1e-10.  Exact integers, and every beta with |beta - n| >= 1e-3, are
+accurate to 1e-12.
 """
 
 from __future__ import annotations
@@ -36,11 +54,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy.special import hyp2f1
 
-from .errors import BarrierViolation, ParameterError, QuadratureFailure
+from .errors import BarrierViolation, ParameterError
 
-QUAD_REL_TOL = 1e-10
 # exponents below this make the stored energy too weak for the sharpest
 # a-priori bounds; the laws still evaluate fine, so only warn
 RECOMMENDED_MIN_EXPONENT = 3.0
@@ -264,8 +281,6 @@ class TruncatedLaw(PressureLawBase):
         return self.kappa * self.cap_k * s ** (self.cap_k - 1.0) + sing
 
     def _energy(self, s):
-        if self.alpha <= 1.0:
-            raise ParameterError("truncated law: potentials need alpha > 1")
         k = self.cap_k
         background = self.kappa / (k - 1.0) * s ** (k - 1.0)
         below = np.minimum(s, self._cap)
@@ -316,15 +331,7 @@ class SedimentationLaw(PressureLawBase):
 
     def _energy(self, phi):
         s, ps = self.s_exp, self.phi_star
-        if float(s).is_integer():
-            m = int(round(s)) - 2
-            total = ps**m * np.log(ps / (ps - phi))
-            for i in range(m):
-                total = total - ps ** (m - 1 - i) * phi ** (i + 1) / (i + 1)
-            return self.c0 * total
-        flat = np.ravel(phi)
-        out = np.array([_quad_energy_sediment(self, float(v)) for v in flat])
-        return out.reshape(np.shape(phi))
+        return _steep_energy(self, self.c0 * ps ** (s - 2.0), s, 1.0, phi / ps)
 
 
 def _steep_energy(law, eps, alpha, beta, r):
@@ -333,14 +340,17 @@ def _steep_energy(law, eps, alpha, beta, r):
         raise ParameterError(f"{law.kind} law: potentials need alpha > 1")
     if float(alpha).is_integer():
         return _steep_energy_closed(eps, int(round(alpha)), beta, np.asarray(r, dtype=float))
-    flat = np.ravel(r)
-    out = np.array([_quad_energy_steep(law, float(v)) for v in flat])
-    return out.reshape(np.shape(r))
+    return _steep_energy_hyp(eps, alpha, beta, r)
+
+
+def _steep_energy_hyp(eps, alpha, beta, r):
+    # the incomplete beta function in Gauss hypergeometric form, DLMF 8.17.7
+    return eps * r ** (alpha - 1.0) / (alpha - 1.0) * hyp2f1(alpha - 1.0, beta, alpha, r)
 
 
 def _steep_energy_closed(eps, alpha, beta, r):
     # substitute s -> 1 - t and expand (1 - t)**(alpha - 2) binomially;
-    # each term integrates to a power of (1 - r), or a log when the
+    # each term's primitive is a power of (1 - t), or a log when the
     # exponent cancels
     m = alpha - 2
     one_minus = 1.0 - r
@@ -354,44 +364,6 @@ def _steep_energy_closed(eps, alpha, beta, r):
             term = (1.0 - one_minus**expo) / expo
         total = total + coeff * term
     return eps * total
-
-
-@lru_cache(maxsize=1 << 16)
-def _quad_energy_steep(law, r):
-    # substituting t = s**(alpha-1) removes the weak endpoint singularity
-    if r == 0.0:
-        return 0.0
-    a, b = law.alpha, law.beta
-    p = 1.0 / (a - 1.0)
-
-    def integrand(t):
-        return (1.0 - t**p) ** (-b)
-
-    return law.eps * p * _quad(integrand, 0.0, r ** (a - 1.0))
-
-
-@lru_cache(maxsize=1 << 16)
-def _quad_energy_sediment(law, phi):
-    if phi == 0.0:
-        return 0.0
-    s, ps = law.s_exp, law.phi_star
-    p = 1.0 / (s - 1.0)
-
-    def integrand(t):
-        return 1.0 / (ps - t**p)
-
-    return law.c0 * p * _quad(integrand, 0.0, phi ** (s - 1.0))
-
-
-def _quad(fn, lo, hi):
-    value, err = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=QUAD_REL_TOL, limit=500)
-    if not np.isfinite(value):
-        raise QuadratureFailure("quadrature returned a non-finite value")
-    if err > 1e3 * QUAD_REL_TOL * max(abs(value), 1e-300):
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:.3e} exceeds tolerance for value {value:.3e}"
-        )
-    return value
 
 
 class _ScaledRatioLaw:

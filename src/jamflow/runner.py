@@ -18,7 +18,6 @@ from .errors import (
     IoError,
     NonFinite,
     ParameterError,
-    QuadratureFailure,
     SpecError,
     StepFailure,
     ValidationError,
@@ -31,7 +30,7 @@ from pathlib import Path
 __version__ = "0.1.0"
 
 STATUS_EXIT = {"ok": 0, "invalid": 2, "solver_failure": 3, "io_failure": 4}
-SOLVER_ERRORS = (StepFailure, DegenerateState, NonFinite, BarrierViolation, QuadratureFailure)
+SOLVER_ERRORS = (StepFailure, DegenerateState, NonFinite, BarrierViolation)
 DELTA_C_SENSITIVITY = (0.02, 0.05, 0.1)
 
 
@@ -213,7 +212,7 @@ SWEEP_COLUMNS = (
     "matched_delta_c",
     "congested_ratio",
     "congested_snapshots",
-    "pi_max_initial",
+    "pi_l1_initial",
     "wall_time_s",
 )
 
@@ -231,7 +230,7 @@ class SweepRow:
     matched_delta_c: float = float("nan")
     congested_ratio: float = float("nan")
     congested_snapshots: int = 0
-    pi_max_initial: float = float("nan")
+    pi_l1_initial: float = float("nan")
     wall_time_s: float = 0.0
 
 
@@ -286,7 +285,7 @@ def _row_from_result(label, value, res, barrier, law):
     row.peak_max_ratio = max(r.max_ratio for r in recs)
     row.int_complementarity = _time_integral(recs, "complementarity")
     row.int_pi_l1 = _time_integral(recs, "pi_l1")
-    row.pi_max_initial = recs[0].pi_l1
+    row.pi_l1_initial = recs[0].pi_l1
     congested = [r.divu_congested for r in recs if r.congested_measure > 0]
     row.congested_snapshots = len(congested)
     row.mean_divu_congested = float(np.mean(congested)) if congested else 0.0
@@ -372,8 +371,8 @@ def _sweep_summary(rows, sensitivity):
             )
         ),
         "delta_c_sensitivity": sensitivity,
-        "pi_max_initial_by_member": [
-            {"label": r.label, "pi_l1_initial": r.pi_max_initial} for r in rows
+        "pi_l1_initial_by_member": [
+            {"label": r.label, "pi_l1_initial": r.pi_l1_initial} for r in rows
         ],
     }
     return summary

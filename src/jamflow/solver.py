@@ -78,9 +78,10 @@ def _face_mean(arr, axis, dim):
 
 
 def _upwind(face_vel, arr, axis, dim):
+    # faces with zero velocity take hi; callers multiply by face_vel
     lo = arr[_sl(dim, axis, slice(None, -1))]
     hi = arr[_sl(dim, axis, slice(1, None))]
-    return np.where(face_vel > 0.0, lo, np.where(face_vel < 0.0, hi, 0.5 * (lo + hi)))
+    return np.where(face_vel > 0.0, lo, hi)
 
 
 def _face_div(flux, axis, dim, dx):

@@ -4,8 +4,8 @@ Frozen reference values were computed with mpmath at 30 significant
 digits from the defining integrals, cross-checked against the
 hypergeometric representation of the incomplete beta function.  Tests
 marked "inline oracle" additionally integrate the raw definition with
-scipy inside the test, so the closed forms and the shipped quadrature
-path are never compared against themselves.
+scipy inside the test, so the shipped closed forms are never compared
+against themselves.
 """
 
 import math
@@ -25,7 +25,7 @@ from jamflow.pressure import (
     TruncatedLaw,
     energy_potential_floor,
     ratio_law,
-    _quad_energy_steep,
+    _steep_energy_hyp,
 )
 
 
@@ -59,6 +59,48 @@ FROZEN_SEDIMENT_ENERGY = [
     (1.0, 3.0, 0.6, 1.1744567822334595),
     (0.8, 2.5, 0.3, 0.19605479326299057),
     (0.8, 2.5, 0.55, 0.9085205847929884),
+    (0.8, 2.5, 0.6399, 5.216272484475983),
+]
+
+# mpmath oracles, 30 digits, for fractional exponents (the hypergeometric
+# path) up to ratios just inside the default barrier tolerance; r is the
+# binary double of the written expression
+FROZEN_FRACTIONAL_ENERGY = [
+    # (eps, alpha, beta, r, expected)
+    (1e-3, 2.5, 2.0, 0.5, 0.0005328399753535521),
+    (1e-3, 2.5, 2.0, 0.99, 0.09650552086453552),
+    (1e-3, 2.5, 2.0, 0.9999, 9.994201695134866),
+    (1e-3, 2.5, 2.0, 1 - 2e-6, 499.9922456847585),
+    (1e-3, 2.5, 3.0, 0.5, 0.0008403167750249355),
+    (1e-3, 2.5, 3.0, 0.99, 4.949314193893894),
+    (1e-3, 2.5, 3.0, 0.9999, 49994.99873793792),
+    (1e-3, 2.5, 3.0, 1 - 2e-6, 124999750.00493778),
+    (1e-3, 3.5, 2.5, 0.5, 0.00023746299346156328),
+    (1e-3, 3.5, 2.5, 0.99, 0.6397332175595026),
+    (1e-3, 3.5, 2.5, 0.9999, 666.3698007593887),
+    (1e-3, 3.5, 2.5, 1 - 2e-6, 235700.14222516376),
+    (1e-3, 4.5, 4.0, 0.5, 0.0002151738543982121),
+    (1e-3, 4.5, 4.0, 0.99, 321.0183884752074),
+    (1e-3, 4.5, 4.0, 0.9999, 333208352.0795591),
+    (1e-3, 4.5, 4.0, 1 - 2e-6, 41666354170948.58),
+]
+
+# mpmath oracles, 30 digits, for beta within 1e-6 of 1, where
+# c - a - b = 1 - beta of the hypergeometric form is almost an integer
+FROZEN_NEAR_BETA_ONE = [
+    # (eps, alpha, beta, r, expected)
+    (1e-3, 2.5, 1 + 1e-6, 0.9999, 0.008596726606163072),
+    (1e-3, 2.5, 1 + 1e-6, 1 - 1e-5, 0.010899290556760439),
+    (1e-3, 2.5, 1 + 1e-6, 1 - 2e-6, 0.012508744293768493),
+    (1e-3, 2.5, 1 - 1e-6, 0.9999, 0.008596642861538738),
+    (1e-3, 2.5, 1 - 1e-6, 1 - 1e-5, 0.010899159095949027),
+    (1e-3, 2.5, 1 - 1e-6, 1 - 2e-6, 0.012508573184086118),
+    (1e-3, 3.5, 1 + 1e-6, 0.9999, 0.007930159084434911),
+    (1e-3, 3.5, 1 + 1e-6, 1 - 1e-5, 0.010232633036611434),
+    (1e-3, 3.5, 1 + 1e-6, 1 - 2e-6, 0.011842078773546602),
+    (1e-3, 3.5, 1 - 1e-6, 0.9999, 0.00793007704493163),
+    (1e-3, 3.5, 1 - 1e-6, 1 - 1e-5, 0.010232503282712838),
+    (1e-3, 3.5, 1 - 1e-6, 1 - 2e-6, 0.011841909370970813),
 ]
 
 
@@ -98,14 +140,30 @@ class TestSingularValues:
         law = make_singular(eps, alpha, beta)
         assert law.energy_potential(r) == pytest.approx(oracle, rel=1e-9)
 
-    def test_closed_form_agrees_with_quadrature_path(self):
-        # integer exponents dispatch to the closed form; force the cached
-        # quadrature path for the same law and compare
+    @pytest.mark.parametrize("eps,alpha,beta,r,expected", FROZEN_FRACTIONAL_ENERGY)
+    def test_fractional_energy_matches_frozen_oracle(self, eps, alpha, beta, r, expected):
+        law = make_singular(eps, alpha, beta)
+        assert law.energy_potential(r) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("eps,alpha,beta,r,expected", FROZEN_NEAR_BETA_ONE)
+    def test_near_beta_one_error_stays_bounded(self, eps, alpha, beta, r, expected):
+        # Loose on purpose.  Next to the degenerate case c - a - b = 0 the
+        # hyp2f1 connection formulas cancel two nearly equal terms, so the
+        # error is up to 1.8e-6 at these points (2.5e-5 for alpha = 2.7)
+        # instead of 1e-14, and it is not monotone in beta - 1 (5e-4 at
+        # |beta - 1| = 1e-12).  The bound pins that order of magnitude, not
+        # scipy's rounding.
+        law = make_singular(eps, alpha, beta)
+        assert law.energy_potential(r) == pytest.approx(expected, rel=1e-4)
+
+    def test_closed_form_agrees_with_hypergeometric_path(self):
+        # integer exponents dispatch to the binomial sum; evaluate the
+        # hypergeometric form for the same law and compare
         law = make_singular(1e-3, 3.0, 3.0)
         for r in (0.1, 0.5, 0.95):
             closed = law.energy_potential(r)
-            quad = _quad_energy_steep(law, r)
-            assert quad == pytest.approx(closed, rel=1e-9)
+            hyp = _steep_energy_hyp(law.eps, law.alpha, law.beta, r)
+            assert hyp == pytest.approx(closed, rel=1e-12)
 
     def test_energy_zero_at_zero(self):
         law = make_singular(1e-3, 2.0, 4.0)

@@ -1,5 +1,6 @@
 """Run orchestration: artifacts on disk, failure routing, sweeps, CLI."""
 
+import csv
 import dataclasses
 import json
 
@@ -213,6 +214,19 @@ class TestRunSweep:
             assert row.int_complementarity >= 0.0
             assert row.int_pi_l1 > 0.0
             assert row.wall_time_s > 0.0
+
+    def test_initial_pressure_integral_column(self, tmp_path):
+        cfg = parse_config(self.SWEEP)
+        outcome = run_sweep(cfg, out_dir=tmp_path / "sweep")
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["eps_0.01", "eps_0.001"]
+        for row, res in zip(rows, outcome.results):
+            assert float(row["pi_l1_initial"]) == res.records[0].pi_l1
+        by_member = outcome.summary["pi_l1_initial_by_member"]
+        assert [m["pi_l1_initial"] for m in by_member] == [
+            res.records[0].pi_l1 for res in outcome.results
+        ]
 
     def test_bad_member_is_tolerated(self, tmp_path):
         cfg = parse_config(self.SWEEP)
