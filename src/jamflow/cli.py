@@ -13,13 +13,15 @@ failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
 from .config import parse_config_file
-from .domain import validate_initial
+from .domain import make_state, validate_initial
 from .errors import (
     BarrierViolation,
+    DegenerateState,
     IoError,
     JamflowError,
     ParameterError,
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .runner import run_once, run_sweep, build_problem
 from .scenarios import scenario_descriptions
+from .solver import stable_dt
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -130,7 +133,20 @@ def cmd_check(args):
         return EXIT_INVALID
     report = validate_initial(data, barrier)
     print(report.summary())
-    return EXIT_OK if report.ok else EXIT_INVALID
+    if not report.ok:
+        return EXIT_INVALID
+    state = make_state(cfg.grid, data.rho0, data.mom0)
+    try:
+        dt0 = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.grid, cfg.solver.cfl)
+    except DegenerateState as exc:
+        print(f"initial step: {exc}")
+        return EXIT_OK
+    print(f"initial stable_dt {dt0:.6g}")
+    print(
+        f"projected steps >= {math.ceil(cfg.solver.t_end / dt0)}"
+        " (ceil(t_end / dt0); a lower bound, dt shrinks as jams stiffen)"
+    )
+    return EXIT_OK
 
 
 def main(argv=None):

@@ -277,14 +277,14 @@ def congested_interior(mask):
     normalized comparison below measures the eroded interior.  Domain walls
     do not erode: a jam pressed against a wall keeps its wall-side cells.
     """
-    padded = np.pad(mask, 1, mode="edge")
     eroded = mask.copy()
-    dim = mask.ndim
-    for ax in range(dim):
-        for hi in (False, True):
-            sl = [slice(1, -1)] * dim
-            sl[ax] = slice(2, None) if hi else slice(None, -2)
-            eroded &= padded[tuple(sl)]
+    for ax in range(mask.ndim):
+        lo = [slice(None)] * mask.ndim
+        hi = [slice(None)] * mask.ndim
+        lo[ax], hi[ax] = slice(None, -1), slice(1, None)
+        # each cell needs both neighbours along ax; a wall counts as congested
+        eroded[tuple(hi)] &= mask[tuple(lo)]
+        eroded[tuple(lo)] &= mask[tuple(hi)]
     return eroded
 
 
@@ -300,19 +300,31 @@ def congested_divergence_report(
     of the congested set (see ``congested_interior``) so the free-boundary
     cell does not mask the behavior of the jam proper.
     """
-    times, ratios, counts = [], [], []
+    [report] = congested_divergence_reports(states, barrier, (delta_c,), floor)
+    return report
+
+
+def congested_divergence_reports(states, barrier, thresholds, floor=DIVERGENCE_FLOOR):
+    """``congested_divergence_report`` for each of several ``delta_c``.
+
+    The ratio field and div(barrier * velocity) are computed once per
+    state and shared by the thresholds.
+    """
+    columns = [([], [], []) for _ in thresholds]
     for state in states:
-        grid = state.grid
-        vol = grid.cell_volume
+        vol = state.grid.cell_volume
         ratio_field = state.rho_interior / barrier.interior
-        congested = ratio_field >= 1.0 - delta_c
-        div_bu = div_barrier_velocity(state, barrier)
-        total = float(np.sqrt(np.sum(div_bu**2) * vol))
-        inside_mask = congested_interior(congested)
-        inside = float(np.sqrt(np.sum(div_bu[inside_mask] ** 2) * vol))
-        times.append(float(state.t))
-        ratios.append(inside / (total + floor))
-        counts.append(int(np.count_nonzero(congested)))
-    return CongestedDivergenceReport(
-        times=tuple(times), ratios=tuple(ratios), congested_counts=tuple(counts)
-    )
+        div_sq = div_barrier_velocity(state, barrier) ** 2
+        total = float(np.sqrt(np.sum(div_sq) * vol))
+        for (times, ratios, counts), delta_c in zip(columns, thresholds):
+            congested = ratio_field >= 1.0 - delta_c
+            inside = float(np.sqrt(np.sum(div_sq[congested_interior(congested)]) * vol))
+            times.append(float(state.t))
+            ratios.append(inside / (total + floor))
+            counts.append(int(np.count_nonzero(congested)))
+    return [
+        CongestedDivergenceReport(
+            times=tuple(times), ratios=tuple(ratios), congested_counts=tuple(counts)
+        )
+        for times, ratios, counts in columns
+    ]

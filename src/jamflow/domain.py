@@ -39,7 +39,7 @@ class Grid:
     def dim(self):
         return len(self.cells)
 
-    @property
+    @cached_property
     def dx(self):
         return tuple(e / n for e, n in zip(self.extents, self.cells))
 
@@ -264,11 +264,20 @@ class FlowState:
 
     def velocity(self, floor=0.0):
         """Ghosted velocity; zero where density does not exceed ``floor``."""
-        safe = np.where(self.rho > floor, self.rho, 1.0)
-        return np.where(self.rho > floor, self.mom / safe, 0.0)
+        return velocity_field(self.rho, self.mom, floor)
 
     def copy(self):
         return FlowState(self.t, self.rho.copy(), self.mom.copy(), self.grid)
+
+
+def velocity_field(rho, mom, floor=0.0):
+    """Momentum over density, zero where density does not exceed ``floor``.
+
+    ``mom`` carries its component axis first, ahead of any axes it shares
+    with ``rho``.
+    """
+    safe = np.where(rho > floor, rho, 1.0)
+    return np.where(rho > floor, mom / safe, 0.0)
 
 
 def make_state(grid, rho0, mom0, t=0.0):

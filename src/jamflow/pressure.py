@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import hyp2f1
@@ -256,14 +256,28 @@ class TruncatedLaw(PressureLawBase):
             raise ParameterError(f"truncated law: delta must lie in (0, 1), got {self.delta}")
         _warn_if_shallow(self.kind, self.alpha, self.beta)
 
-    @property
+    # derived constants are cached per law, so that stack_laws can carry
+    # each member's own scalar value rather than one recomputed on an array
+    @cached_property
     def _cap(self):
         return 1.0 - self.delta
+
+    @cached_property
+    def _frozen_factor(self):
+        return self.delta**-self.beta
+
+    @cached_property
+    def _delta_pow_beta(self):
+        return self.delta**self.beta
+
+    @cached_property
+    def _cap_pow(self):
+        return self._cap ** (self.alpha - 1.0)
 
     def _pi(self, s):
         below = np.minimum(s, self._cap)
         steep = self.eps * below**self.alpha * (1.0 - below) ** (-self.beta)
-        capped = self.eps * s**self.alpha * self.delta**-self.beta
+        capped = self.eps * s**self.alpha * self._frozen_factor
         sing = np.where(s < self._cap, steep, capped)
         return self.kappa * s**self.cap_k + sing
 
@@ -276,7 +290,7 @@ class TruncatedLaw(PressureLawBase):
             * (1.0 - below) ** (-b - 1.0)
             * (a * (1.0 - below) + b * below)
         )
-        capped = self.eps * a * s ** (a - 1.0) * self.delta**-b
+        capped = self.eps * a * s ** (a - 1.0) * self._frozen_factor
         sing = np.where(s < self._cap, steep, capped)
         return self.kappa * self.cap_k * s ** (self.cap_k - 1.0) + sing
 
@@ -289,8 +303,8 @@ class TruncatedLaw(PressureLawBase):
         tail = np.where(
             s > self._cap,
             self.eps
-            * (s ** (a - 1.0) - self._cap ** (a - 1.0))
-            / (self.delta**self.beta * (a - 1.0)),
+            * (s ** (a - 1.0) - self._cap_pow)
+            / (self._delta_pow_beta * (a - 1.0)),
             0.0,
         )
         return background + steep + tail
@@ -399,6 +413,35 @@ def ratio_law(law):
     if isinstance(law, SedimentationLaw):
         return _ScaledRatioLaw(law, law.phi_star)
     return law
+
+
+def stack_laws(laws, ndim):
+    """One law standing for several validated laws of the same kind.
+
+    Parameters (and cached derived constants) on which the members differ
+    become arrays of shape ``(len(laws),) + (1,) * ndim``, which broadcast
+    against arguments carrying a leading member axis; shared ones stay
+    scalars.  Each array entry is the member's own value, so a member's
+    slice of any law evaluation equals that member's solo evaluation.
+    """
+    first = laws[0]
+    cls = type(first)
+    if any(type(law) is not cls for law in laws):
+        raise ParameterError("stacked laws must all be of one kind")
+    if len(laws) == 1:
+        return first
+    names = [f.name for f in fields(cls)]
+    derived = [n for n, v in vars(cls).items() if isinstance(v, cached_property)]
+    stacked = object.__new__(cls)
+    for name in names + derived:
+        values = [getattr(law, name) for law in laws]
+        if any(v != values[0] for v in values):
+            value = np.array(values, dtype=float).reshape((len(laws),) + (1,) * ndim)
+        else:
+            value = values[0]
+        # bypasses validation (done per member) and the frozen __setattr__
+        stacked.__dict__[name] = value
+    return stacked
 
 
 @lru_cache(maxsize=256)

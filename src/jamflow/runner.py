@@ -137,32 +137,39 @@ def build_problem(cfg):
     return barrier, data, None, None
 
 
-def run_once(cfg, out_dir=None, keep_states=True, write_artifacts=True):
-    """Execute one configured run; always leaves meta.json behind."""
-    started = time.perf_counter()
-    out = None
-    if write_artifacts:
-        out = prepare_out_dir(out_dir or cfg.out_dir)
-    result = RunResult(status="ok", out_dir=out)
+@dataclass
+class _Member:
+    """One run on its way through ``_run_members``."""
+
+    cfg: object
+    out: Path | None
+    result: RunResult
+    barrier: object = None
+    state: object = None
+    sources: object = None
+    sink: object = None
+
+
+def _prepare(cfg, out, started, keep_states, write_artifacts):
+    """Build and check one run's problem; an inadmissible one ends here."""
+    member = _Member(cfg=cfg, out=out, result=RunResult(status="ok", out_dir=out))
+    result = member.result
+
+    def invalid(error):
+        result.status = "invalid"
+        result.error = error
+        result.wall_time = time.perf_counter() - started
+        if write_artifacts:
+            _write_meta(out, cfg, result)
+        return member
 
     try:
         barrier, data, sources, _ = build_problem(cfg)
     except (SpecError, ParameterError, BarrierViolation) as exc:
-        result.status = "invalid"
-        result.error = str(exc)
-        result.wall_time = time.perf_counter() - started
-        if write_artifacts:
-            _write_meta(out, cfg, result)
-        return result
-
+        return invalid(str(exc))
     report = validate_initial(data, barrier)
     if not report.ok:
-        result.status = "invalid"
-        result.error = report.summary()
-        result.wall_time = time.perf_counter() - started
-        if write_artifacts:
-            _write_meta(out, cfg, result)
-        return result
+        return invalid(report.summary())
 
     state = make_state(cfg.grid, data.rho0, data.mom0)
     next_field_tick = {"t": cfg.fields_every}
@@ -178,23 +185,54 @@ def run_once(cfg, out_dir=None, keep_states=True, write_artifacts=True):
 
     if write_artifacts:
         _write_snapshot(out, state, barrier, tag="initial")
-    try:
-        final = advance(
-            state, cfg.solver.t_end, cfg.law, cfg.fluid, barrier, cfg.solver,
-            sink=sink, sources=sources,
-        )
-        result.final_state = final
-    except SOLVER_ERRORS as exc:
-        result.status = "solver_failure"
-        result.error = f"{type(exc).__name__}: {exc}"
+    member.barrier, member.state, member.sources, member.sink = barrier, state, sources, sink
+    return member
 
-    result.wall_time = time.perf_counter() - started
+
+def _run_members(runs, started, keep_states=True, write_artifacts=True):
+    """Prepare every ``(cfg, out)`` run, advance the admissible ones together.
+
+    The runs differ at most in their pressure law (sweep members), so they
+    share one grid, barrier, fluid and solver setting and advance in one
+    pass; each keeps its own records, snapshots and status, and all share
+    the pass's wall time.  Returns the prepared members, invalid ones
+    included.
+    """
+    members = [_prepare(cfg, out, started, keep_states, write_artifacts) for cfg, out in runs]
+    live = [m for m in members if m.state is not None]
+    if not live:
+        return members
+    cfg = live[0].cfg
+    outcomes = advance(
+        [m.state for m in live], cfg.solver.t_end, [m.cfg.law for m in live], cfg.fluid,
+        live[0].barrier, cfg.solver,
+        sink=[m.sink for m in live], sources=[m.sources for m in live],
+    )
+    wall = time.perf_counter() - started
+    for m, outcome in zip(live, outcomes):
+        result = m.result
+        if isinstance(outcome, SOLVER_ERRORS):
+            result.status = "solver_failure"
+            result.error = f"{type(outcome).__name__}: {outcome}"
+        else:
+            result.final_state = outcome
+        result.wall_time = wall
+        if write_artifacts:
+            _write_diagnostics(m.out / "diagnostics.csv", result.records)
+            if result.final_state is not None:
+                _write_snapshot(m.out, result.final_state, m.barrier, tag="final")
+            _write_meta(m.out, m.cfg, result)
+    return members
+
+
+def run_once(cfg, out_dir=None, keep_states=True, write_artifacts=True):
+    """Execute one configured run; always leaves meta.json behind."""
+    started = time.perf_counter()
+    out = None
     if write_artifacts:
-        _write_diagnostics(out / "diagnostics.csv", result.records)
-        if result.final_state is not None:
-            _write_snapshot(out, result.final_state, barrier, tag="final")
-        _write_meta(out, cfg, result)
-    return result
+        out = prepare_out_dir(out_dir or cfg.out_dir)
+    [member] = _run_members([(cfg, out)], started, keep_states, write_artifacts)
+    return member.result
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +315,10 @@ def _time_integral(records, attr):
 
 
 def _row_from_result(label, value, res, barrier, law):
+    """A member's sweep row, and its congested ratio per DELTA_C_SENSITIVITY."""
     row = SweepRow(label=label, value=value, status=res.status, wall_time_s=res.wall_time)
     if not res.records:
-        return row
+        return row, None
     recs = res.records
     row.final_max_ratio = recs[-1].max_ratio
     row.peak_max_ratio = max(r.max_ratio for r in recs)
@@ -289,53 +328,60 @@ def _row_from_result(label, value, res, barrier, law):
     congested = [r.divu_congested for r in recs if r.congested_measure > 0]
     row.congested_snapshots = len(congested)
     row.mean_divu_congested = float(np.mean(congested)) if congested else 0.0
-    if res.states and barrier is not None:
-        delta = diagnostics.matched_congestion_delta(law, row.peak_max_ratio)
-        if delta is None:
-            row.congested_ratio = 0.0
-            row.congested_snapshots = 0
-        else:
-            row.matched_delta_c = delta
-            rep = diagnostics.congested_divergence_report(
-                res.states, barrier, delta_c=delta
-            )
-            row.congested_ratio = rep.mean_congested_ratio
-            row.congested_snapshots = rep.congested_snapshots
-    return row
+    if not res.states:
+        return row, None
+    delta = diagnostics.matched_congestion_delta(law, row.peak_max_ratio)
+    thresholds = DELTA_C_SENSITIVITY if delta is None else (delta,) + DELTA_C_SENSITIVITY
+    reports = diagnostics.congested_divergence_reports(res.states, barrier, thresholds)
+    if delta is None:
+        row.congested_ratio = 0.0
+        row.congested_snapshots = 0
+    else:
+        row.matched_delta_c = delta
+        row.congested_ratio = reports[0].mean_congested_ratio
+        row.congested_snapshots = reports[0].congested_snapshots
+    sensitivity = {
+        str(dc): rep.mean_congested_ratio
+        for dc, rep in zip(DELTA_C_SENSITIVITY, reports[-len(DELTA_C_SENSITIVITY):])
+    }
+    return row, sensitivity
 
 
 def run_sweep(cfg, out_dir=None):
     """Run every sweep member, tolerating member failures.
 
-    Rows are ordered by decreasing stiffness (or decreasing truncation
-    delta); trend indicators land in summary.json.
+    The admissible members advance together in one pass (see
+    ``_run_members``).  Rows are ordered by decreasing stiffness (or
+    decreasing truncation delta); trend indicators land in summary.json.
     """
     if cfg.sweep is None:
         raise ValidationError([("sweep.kind", 0, "config carries no sweep plan")])
     out = prepare_out_dir(out_dir or cfg.out_dir)
-    rows, results = [], []
-    sensitivity = {}
-    for label, value, member, build_err in _member_configs(cfg):
+    started = time.perf_counter()
+    plan = _member_configs(cfg)
+    results = [None] * len(plan)
+    runs, run_index = [], []
+    for i, (label, _, member, build_err) in enumerate(plan):
+        if member is None:
+            results[i] = RunResult(status="invalid", error=build_err)
+            continue
+        try:
+            runs.append((member, prepare_out_dir(out / label)))
+            run_index.append(i)
+        except IoError as exc:
+            results[i] = RunResult(status="io_failure", error=str(exc))
+    barriers = [None] * len(plan)
+    for i, m in zip(run_index, _run_members(runs, started)):
+        results[i], barriers[i] = m.result, m.barrier
+    rows, sensitivity = [], {}
+    for (label, value, member, _), res, barrier in zip(plan, results, barriers):
         if member is None:
             rows.append(SweepRow(label=label, value=value, status="invalid"))
-            results.append(RunResult(status="invalid", error=build_err))
             continue
-        member_out = out / label
-        try:
-            res = run_once(member, out_dir=member_out, keep_states=True)
-        except IoError as exc:
-            res = RunResult(status="io_failure", error=str(exc))
-        barrier = build_barrier(member.barrier, member.grid) if res.records else None
-        row = _row_from_result(label, value, res, barrier, member.law)
-        if res.states and barrier is not None:
-            sensitivity[label] = {
-                str(dc): diagnostics.congested_divergence_report(
-                    res.states, barrier, delta_c=dc
-                ).mean_congested_ratio
-                for dc in DELTA_C_SENSITIVITY
-            }
+        row, sens = _row_from_result(label, value, res, barrier, member.law)
+        if sens is not None:
+            sensitivity[label] = sens
         rows.append(row)
-        results.append(res)
         res.states = []  # runs can be large; metrics are already extracted
     summary = _sweep_summary(rows, sensitivity)
     _write_sweep_csv(out / "sweep.csv", rows)

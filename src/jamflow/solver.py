@@ -18,12 +18,19 @@ constraint strictly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .domain import apply_velocity_bc, fill_scalar_ghosts, FlowState, interior_view
+from .domain import (
+    FlowState,
+    fill_scalar_ghosts,
+    fill_velocity_ghosts,
+    interior_view,
+    velocity_field,
+)
 from .errors import (
     BarrierViolation,
     DegenerateState,
@@ -31,7 +38,7 @@ from .errors import (
     ParameterError,
     StepFailure,
 )
-from .pressure import ratio_law
+from .pressure import ratio_law, stack_laws
 
 # cells below this fraction of the barrier maximum carry no momentum
 VACUUM_REL_FLOOR = 1e-12
@@ -67,10 +74,27 @@ class SolverConfig:
             )
 
 
+# The kernels below take ghosted fields with an optional leading member
+# axis: rho (*cells) or (members, *cells), mom (dim, *cells) or (members,
+# dim, *cells).  Spatial axes are always the trailing ones, so one code path
+# serves a single state and a stack of sweep members; member m of a stack
+# goes through exactly the elementwise operations of its solo run.
+
 def _sl(dim, axis, s):
     out = [slice(None)] * dim
     out[axis] = s
-    return tuple(out)
+    return (Ellipsis,) + tuple(out)
+
+
+def _interior(dim):
+    return (Ellipsis,) + (slice(1, -1),) * dim
+
+
+def _others(dim, axis):
+    # interior cells along every axis but ``axis``
+    other = [slice(1, -1)] * dim
+    other[axis] = slice(None)
+    return (Ellipsis,) + tuple(other)
 
 
 def _face_mean(arr, axis, dim):
@@ -87,16 +111,12 @@ def _upwind(face_vel, arr, axis, dim):
 def _face_div(flux, axis, dim, dx):
     """Difference of face fluxes, restricted to interior cells."""
     d = flux[_sl(dim, axis, slice(1, None))] - flux[_sl(dim, axis, slice(None, -1))]
-    other = [slice(1, -1)] * dim
-    other[axis] = slice(None)
-    return d[tuple(other)] / dx
+    return d[_others(dim, axis)] / dx
 
 
 def _centered_grad(arr, axis, dim, dx):
     d = arr[_sl(dim, axis, slice(2, None))] - arr[_sl(dim, axis, slice(None, -2))]
-    other = [slice(1, -1)] * dim
-    other[axis] = slice(None)
-    return d[tuple(other)] / (2.0 * dx)
+    return d[_others(dim, axis)] / (2.0 * dx)
 
 
 def _second_diff(arr, axis, dim, dx):
@@ -105,18 +125,30 @@ def _second_diff(arr, axis, dim, dx):
         - 2.0 * arr[_sl(dim, axis, slice(1, -1))]
         + arr[_sl(dim, axis, slice(None, -2))]
     )
-    other = [slice(1, -1)] * dim
-    other[axis] = slice(None)
-    return d[tuple(other)] / dx**2
+    return d[_others(dim, axis)] / dx**2
 
 
 def _cross_diff(arr, dx0, dx1):
-    d = arr[2:, 2:] - arr[2:, :-2] - arr[:-2, 2:] + arr[:-2, :-2]
+    d = arr[..., 2:, 2:] - arr[..., 2:, :-2] - arr[..., :-2, 2:] + arr[..., :-2, :-2]
     return d / (4.0 * dx0 * dx1)
+
+
+def _components_first(mom, dim):
+    # (member, dim, *cells) -> (dim, member, *cells); a solo state is unchanged
+    return mom.swapaxes(0, -1 - dim)
 
 
 def vacuum_floor(barrier):
     return VACUUM_REL_FLOOR * barrier.sup_value
+
+
+def _sound_speed(rho, law, params, barrier):
+    ratio = rho / barrier.interior
+    if np.any(ratio >= 1.0):
+        raise BarrierViolation("ratio reached 1 while evaluating wave speeds")
+    rlaw = ratio_law(law)
+    c2 = params.gamma * rho ** (params.gamma - 1.0) + rlaw.pressure_deriv(ratio)
+    return np.sqrt(c2)
 
 
 def effective_sound_speed(state, law, params, barrier):
@@ -126,13 +158,32 @@ def effective_sound_speed(state, law, params, barrier):
     evaluated per interior cell.  Blows up as the ratio approaches 1,
     which is exactly what throttles the time step near jams.
     """
-    rho = state.rho_interior
-    ratio = rho / barrier.interior
-    if np.any(ratio >= 1.0):
-        raise BarrierViolation("ratio reached 1 while evaluating wave speeds")
-    rlaw = ratio_law(law)
-    c2 = params.gamma * rho ** (params.gamma - 1.0) + rlaw.pressure_deriv(ratio)
-    return np.sqrt(c2)
+    return _sound_speed(state.rho_interior, law, params, barrier)
+
+
+def _max_rate(rho, mom, law, params, barrier, dx):
+    """Largest combined rate of each member (a scalar for one state)."""
+    dim = len(dx)
+    space = tuple(range(-dim, 0))
+    floor = vacuum_floor(barrier)
+    rho_int = rho[_interior(dim)]
+    c = _sound_speed(rho_int, law, params, barrier)
+    u = velocity_field(rho, _components_first(mom, dim), floor)[_interior(dim)]
+    rate = np.zeros(rho_int.shape)
+    for ax in range(dim):
+        rate += (np.abs(u[ax]) + c) / dx[ax]
+    visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in dx)
+    occupied = rho_int > floor
+    rate[occupied] += visc / rho_int[occupied]
+    return rate.max(axis=space)
+
+
+def _dt_from_rate(worst, cfl):
+    if not math.isfinite(worst):
+        raise DegenerateState("non-finite rate while sizing the time step")
+    if worst <= 0.0:
+        return float("inf")
+    return cfl / worst
 
 
 def stable_dt(state, law, params, barrier, grid=None, cfl=0.4):
@@ -146,22 +197,101 @@ def stable_dt(state, law, params, barrier, grid=None, cfl=0.4):
     either mechanism alone recovers the familiar individual limits.
     """
     grid = grid or state.grid
+    worst = float(_max_rate(state.rho, state.mom, law, params, barrier, grid.dx))
+    return _dt_from_rate(worst, cfl)
+
+
+def _update(rho, mom, dt, law, params, barrier, cfg, dx, source=None):
+    """Forward-Euler update of ghosted fields, with per-member checks.
+
+    ``dt`` is a float, or an array broadcasting against the leading member
+    axes; ``source`` is ``(mass_rate, momentum_rate)`` on interior cells,
+    momentum components first.  Returns the new ghosted ``(rho, mom)`` and
+    ``(finite, negative, worst ratio)`` per member; the caller decides what
+    a failed check means.
+    """
+    dim = len(dx)
+    space = tuple(range(-dim, 0))
+    inner = _interior(dim)
     floor = vacuum_floor(barrier)
-    c = effective_sound_speed(state, law, params, barrier)
-    u = interior_view(state.velocity(floor), grid.dim)
-    rate = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        rate += (np.abs(u[ax]) + c) / grid.dx[ax]
-    visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in grid.dx)
-    rho = state.rho_interior
-    occupied = rho > floor
-    rate[occupied] += visc / rho[occupied]
-    worst = float(np.max(rate))
-    if not np.isfinite(worst):
-        raise DegenerateState("non-finite rate while sizing the time step")
-    if worst <= 0.0:
-        return float("inf")
-    return cfl / worst
+    mom_c = _components_first(mom, dim)
+    u = velocity_field(rho, mom_c, floor)
+    rlaw = ratio_law(law)
+    ratio = rho / barrier.values
+    rho_int = rho[inner]
+
+    drho = np.zeros(rho_int.shape)
+    dmom = np.zeros((dim,) + rho_int.shape)
+
+    for ax in range(dim):
+        uf = _face_mean(u[ax], ax, dim)
+        mass_flux = uf * _upwind(uf, rho, ax, dim)
+        drho -= _face_div(mass_flux, ax, dim, dx[ax])
+        for comp in range(dim):
+            mom_flux = uf * _upwind(uf, mom_c[comp], ax, dim)
+            dmom[comp] -= _face_div(mom_flux, ax, dim, dx[ax])
+
+    if cfg.force_form == "potential":
+        phi = params.enthalpy(rho) + rlaw.enthalpy(ratio)
+        for ax in range(dim):
+            dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
+    else:
+        gas = params.pressure(rho)
+        cong = rlaw.pressure(ratio)
+        bar_int = barrier.interior
+        for ax in range(dim):
+            dmom[ax] -= _centered_grad(gas, ax, dim, dx[ax])
+            dmom[ax] -= bar_int * _centered_grad(cong, ax, dim, dx[ax])
+
+    mu, lam = params.mu, params.lam
+    if dim == 1:
+        dmom[0] += (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx[0])
+    else:
+        dx0, dx1 = dx
+        dmom[0] += (
+            (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
+            + mu * _second_diff(u[0], 1, dim, dx1)
+            + (mu + lam) * _cross_diff(u[1], dx0, dx1)
+        )
+        dmom[1] += (
+            (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
+            + mu * _second_diff(u[1], 0, dim, dx0)
+            + (mu + lam) * _cross_diff(u[0], dx0, dx1)
+        )
+
+    new_rho = rho_int + dt * drho
+    new_mom = mom_c[inner] + dt * dmom
+    if source is not None:
+        mass_rate, mom_rate = source
+        new_rho = new_rho + dt * mass_rate
+        new_mom = new_mom + dt * mom_rate
+
+    finite = np.isfinite(new_rho).all(axis=space) & np.isfinite(new_mom).all(axis=(0,) + space)
+    negative = (new_rho < 0.0).any(axis=space)
+    worst = (new_rho / barrier.interior).max(axis=space)
+    new_mom = np.where(new_rho > floor, new_mom, 0.0)
+
+    out_rho = np.empty_like(rho)
+    out_mom = np.empty_like(mom)
+    out_rho[inner] = new_rho
+    _components_first(out_mom, dim)[inner] = new_mom
+    fill_scalar_ghosts(out_rho, dim)
+    fill_velocity_ghosts(out_mom, dim)
+    return out_rho, out_mom, (finite, negative, worst)
+
+
+def _step_error(finite, negative, worst, t_new, cfg):
+    """The exception a failed step check raises, or None."""
+    if not finite:
+        return NonFinite(f"non-finite fields after step to t={t_new:.6g}")
+    if negative:
+        return BarrierViolation(f"negative density after step to t={t_new:.6g}")
+    if worst > 1.0 - cfg.barrier_tol:
+        return BarrierViolation(
+            f"ratio {worst:.8f} exceeded {1.0 - cfg.barrier_tol:.8f} "
+            f"after step to t={t_new:.6g}"
+        )
+    return None
 
 
 def step(state, dt, law, params, barrier, cfg, sources=None):
@@ -182,80 +312,114 @@ def step(state, dt, law, params, barrier, cfg, sources=None):
     NonFinite
         If NaN or Inf appears in the updated fields.
     """
-    grid = state.grid
-    dim = grid.dim
-    floor = vacuum_floor(barrier)
-    rho = state.rho
-    u = state.velocity(floor)
-    rlaw = ratio_law(law)
-    ratio = rho / barrier.values
+    source = sources(state.t) if sources is not None else None
+    rho, mom, checks = _update(
+        state.rho, state.mom, dt, law, params, barrier, cfg, state.grid.dx, source
+    )
+    finite, negative, worst = checks
+    err = _step_error(bool(finite), bool(negative), float(worst), state.t + dt, cfg)
+    if err is not None:
+        raise err
+    return FlowState(t=state.t + dt, rho=rho, mom=mom, grid=state.grid)
 
-    drho = np.zeros(grid.shape)
-    dmom = np.zeros((dim,) + grid.shape)
 
-    for ax in range(dim):
-        uf = _face_mean(u[ax], ax, dim)
-        mass_flux = uf * _upwind(uf, rho, ax, dim)
-        drho -= _face_div(mass_flux, ax, dim, grid.dx[ax])
-        for comp in range(dim):
-            mom_flux = uf * _upwind(uf, state.mom[comp], ax, dim)
-            dmom[comp] -= _face_div(mom_flux, ax, dim, grid.dx[ax])
+class _Solo:
+    """One member, sized and stepped through the public ``stable_dt`` and
+    ``step`` (looked up on every call, so wrappers and patches apply)."""
 
-    rho_int = state.rho_interior
-    if cfg.force_form == "potential":
-        phi = params.enthalpy(rho) + rlaw.enthalpy(ratio)
-        for ax in range(dim):
-            dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, grid.dx[ax])
-    else:
-        gas = params.pressure(rho)
-        cong = rlaw.pressure(ratio)
-        bar_int = barrier.interior
-        for ax in range(dim):
-            dmom[ax] -= _centered_grad(gas, ax, dim, grid.dx[ax])
-            dmom[ax] -= bar_int * _centered_grad(cong, ax, dim, grid.dx[ax])
+    def __init__(self, states, laws, params, barrier, cfg, sources):
+        self.args = (laws[0], params, barrier)
+        self.cfg = cfg
+        self.sources = sources[0]
+        self.rho, self.mom = states[0].rho[None], states[0].mom[None]
+        self.grid = states[0].grid
 
-    mu, lam = params.mu, params.lam
-    if dim == 1:
-        dmom[0] += (2.0 * mu + lam) * _second_diff(u[0], 0, dim, grid.dx[0])
-    else:
-        dx0, dx1 = grid.dx
-        dmom[0] += (
-            (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
-            + mu * _second_diff(u[0], 1, dim, dx1)
-            + (mu + lam) * _cross_diff(u[1], dx0, dx1)
+    def current(self, pos, t):
+        return FlowState(t, self.rho[pos], self.mom[pos], self.grid)
+
+    def size(self, ts):
+        try:
+            return [stable_dt(self.current(0, ts[0]), *self.args, self.grid, self.cfg.cfl)]
+        except (DegenerateState, BarrierViolation) as exc:
+            return [exc]
+
+    def attempt(self, pos, ts, dts):
+        try:
+            new = step(
+                self.current(0, ts[0]), dts[0], *self.args, self.cfg, sources=self.sources
+            )
+        except (NonFinite, BarrierViolation) as exc:
+            return None, None, [exc]
+        return new.rho[None], new.mom[None], [None]
+
+
+class _Stacked:
+    """Several members on one grid, fields stacked on a leading member axis.
+
+    Only the kernels see the stacked arrays; ``rho[pos]`` and ``mom[pos]``
+    keep the memory layout of a solo state.  Member states handed out are
+    copies, so a stored record does not keep every member's fields alive.
+    """
+
+    def __init__(self, states, laws, params, barrier, cfg, sources):
+        self.grid = states[0].grid
+        self.laws, self.params, self.barrier, self.cfg = laws, params, barrier, cfg
+        self.sources = sources
+        self.members = list(range(len(states)))
+        self.rho = np.stack([s.rho for s in states])
+        self.mom = np.stack([s.mom for s in states])
+        self.law = stack_laws(laws, self.grid.dim)
+
+    def current(self, pos, t):
+        return FlowState(t, self.rho[pos].copy(), self.mom[pos].copy(), self.grid)
+
+    def size(self, ts):
+        worst = _max_rate(
+            self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx
+        ).tolist()
+        out = []
+        for w in worst:
+            try:
+                out.append(_dt_from_rate(w, self.cfg.cfl))
+            except DegenerateState as exc:
+                out.append(exc)
+        return out
+
+    def attempt(self, pos, ts, dts):
+        dim = self.grid.dim
+        members = [self.members[p] for p in pos]
+        if len(pos) == len(self.members):
+            rho, mom, law = self.rho, self.mom, self.law
+        else:
+            rho, mom = self.rho[pos], self.mom[pos]
+            law = stack_laws([self.laws[m] for m in members], dim)
+        source = None
+        if any(self.sources[m] is not None for m in members):
+            rates = [self.sources[m](ts[p]) for m, p in zip(members, pos)]
+            source = (
+                np.stack([r[0] for r in rates]),
+                _components_first(np.stack([r[1] for r in rates]), dim),
+            )
+        dt = np.array([dts[p] for p in pos]).reshape((len(pos),) + (1,) * dim)
+        rho, mom, (finite, negative, worst) = _update(
+            rho, mom, dt, law, self.params, self.barrier, self.cfg, self.grid.dx, source
         )
-        dmom[1] += (
-            (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
-            + mu * _second_diff(u[1], 0, dim, dx0)
-            + (mu + lam) * _cross_diff(u[0], dx0, dx1)
-        )
+        errs = [
+            _step_error(f, n, w, ts[p] + dts[p], self.cfg)
+            for f, n, w, p in zip(finite.tolist(), negative.tolist(), worst.tolist(), pos)
+        ]
+        return rho, mom, errs
 
-    new_rho = rho_int + dt * drho
-    new_mom = state.mom_interior + dt * dmom
-    if sources is not None:
-        mass_rate, mom_rate = sources(state.t)
-        new_rho = new_rho + dt * mass_rate
-        new_mom = new_mom + dt * mom_rate
+    def keep(self, pos):
+        self.members = [self.members[p] for p in pos]
+        self.rho, self.mom = self.rho[pos], self.mom[pos]
+        self.law = stack_laws([self.laws[m] for m in self.members], self.grid.dim)
 
-    if not (np.all(np.isfinite(new_rho)) and np.all(np.isfinite(new_mom))):
-        raise NonFinite(f"non-finite fields after step to t={state.t + dt:.6g}")
-    if np.any(new_rho < 0.0):
-        raise BarrierViolation(
-            f"negative density after step to t={state.t + dt:.6g}"
-        )
-    new_ratio = new_rho / barrier.interior
-    worst = float(np.max(new_ratio))
-    if worst > 1.0 - cfg.barrier_tol:
-        raise BarrierViolation(
-            f"ratio {worst:.8f} exceeded {1.0 - cfg.barrier_tol:.8f} "
-            f"after step to t={state.t + dt:.6g}"
-        )
-    new_mom = np.where(new_rho > floor, new_mom, 0.0)
 
-    out = FlowState(t=state.t + dt, rho=np.empty_like(rho), mom=np.empty_like(state.mom), grid=grid)
-    out.rho[(slice(1, -1),) * dim] = new_rho
-    out.mom[(Ellipsis,) + (slice(1, -1),) * dim] = new_mom
-    return apply_velocity_bc(out)
+def _no_admissible_step(cfg, t, cause):
+    exc = StepFailure(f"no admissible step after {cfg.max_substeps} halvings at t={t:.6g}")
+    exc.__cause__ = cause
+    return exc
 
 
 def advance(
@@ -276,51 +440,114 @@ def advance(
     barrier violation the step is halved and retried up to
     ``cfg.max_substeps`` times before StepFailure.  ``step_hook(prev, new,
     dt)`` runs after every accepted step (companion-field transport).
+
+    Sweep members advance together: pass lists of member states (one grid),
+    laws, sinks, sources and hooks instead (``None`` for any of the last
+    three means none for every member).  Each member keeps its own time,
+    step size, halvings and snapshot ticks, exactly as in its solo run, and
+    the call returns per member either the final state or the
+    StepFailure / DegenerateState / NonFinite / BarrierViolation that ended
+    it, while the other members go on.  Two or more members are stacked on
+    a leading array axis and step through one kernel call.
     """
-    if t_target < state.t:
+    if isinstance(state, FlowState):
+        [out] = advance(
+            [state], t_target, [law], params, barrier, cfg,
+            sink=[sink], sources=[sources], step_hook=[step_hook],
+        )
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    n = len(state)
+    sinks = sink or [None] * n
+    hooks = step_hook or [None] * n
+    sources = sources or [None] * n
+    if any(t_target < s.t for s in state):
         raise ParameterError("t_target precedes the state time")
-    t0 = state.t
+    t = [s.t for s in state]
+    t0 = list(t)
     tick = cfg.snapshot_every
     t_eps = 1e-12 * max(1.0, abs(t_target))
+    outcome = [None] * n
+    group = (_Solo if n == 1 else _Stacked)(state, law, params, barrier, cfg, sources)
 
-    def emit(s):
-        if sink is not None:
-            sink(s, diagnostics.collect(s, law, params, barrier))
+    def emit(m, s):
+        if sinks[m] is not None:
+            sinks[m](s, diagnostics.collect(s, law[m], params, barrier))
 
-    emit(state)
-    last_emit = state.t
-    next_tick = t0 + tick
-    while t_target - state.t > t_eps:
-        dt = stable_dt(state, law, params, barrier, state.grid, cfg.cfl)
-        dt = min(dt, t_target - state.t)
-        if dt < 1e-14 * max(t_target, 1e-300):
-            raise DegenerateState(
-                f"time step {dt:.3e} underflowed at t={state.t:.6g}"
-            )
-        retries = 0
-        while True:
-            try:
-                new = step(state, dt, law, params, barrier, cfg, sources=sources)
-                break
-            except BarrierViolation as exc:
-                retries += 1
-                if retries > cfg.max_substeps:
-                    raise StepFailure(
-                        f"no admissible step after {cfg.max_substeps} halvings "
-                        f"at t={state.t:.6g}"
-                    ) from exc
-                dt *= 0.5
-        if step_hook is not None:
-            step_hook(state, new, dt)
-        state = new
-        if state.t >= next_tick - t_eps:
-            emit(state)
-            last_emit = state.t
-            laps = int(np.floor((state.t - t0) / tick + 1e-9))
-            next_tick = t0 + (laps + 1) * tick
-    if state.t > last_emit + t_eps:
-        emit(state)
-    return state
+    for m in range(n):
+        emit(m, state[m])
+    last_emit = list(t)
+    next_tick = [t0_m + tick for t0_m in t0]
+    live = list(range(n))  # member ids, by position in the group
+    while True:
+        done = [
+            p for p, m in enumerate(live)
+            if outcome[m] is not None or not t_target - t[m] > t_eps
+        ]
+        if done:
+            for p in done:
+                m = live[p]
+                if outcome[m] is None:
+                    final = group.current(p, t[m])
+                    if t[m] > last_emit[m] + t_eps:
+                        emit(m, final)
+                    outcome[m] = final
+            keep = [p for p in range(len(live)) if p not in done]
+            live = [live[p] for p in keep]
+            if not live:
+                return outcome
+            group.keep(keep)
+
+        ts = [t[m] for m in live]
+        dts = group.size(ts)
+        for p, m in enumerate(live):
+            if not isinstance(dts[p], Exception):
+                dts[p] = min(dts[p], t_target - ts[p])
+                if dts[p] < 1e-14 * max(t_target, 1e-300):
+                    dts[p] = DegenerateState(
+                        f"time step {dts[p]:.3e} underflowed at t={ts[p]:.6g}"
+                    )
+            if isinstance(dts[p], Exception):
+                outcome[m] = dts[p]
+        if any(outcome[m] is not None for m in live):
+            continue  # retire the failed members before stepping the rest
+
+        retries = [0] * len(live)
+        pending = list(range(len(live)))
+        while pending:
+            rho, mom, errs = group.attempt(pending, ts, dts)
+            if len(pending) == len(live):
+                new_rho, new_mom = rho, mom
+            else:
+                new_rho[pending], new_mom[pending] = rho, mom
+            halved = []
+            for p, err in zip(pending, errs):
+                if isinstance(err, BarrierViolation) and retries[p] < cfg.max_substeps:
+                    retries[p] += 1
+                    dts[p] *= 0.5
+                    halved.append(p)
+                elif isinstance(err, BarrierViolation):
+                    outcome[live[p]] = _no_admissible_step(cfg, ts[p], err)
+                elif err is not None:
+                    outcome[live[p]] = err
+            pending = halved
+
+        prev_rho, prev_mom = group.rho, group.mom
+        group.rho, group.mom = new_rho, new_mom
+        for p, m in enumerate(live):
+            if outcome[m] is not None:
+                continue
+            t[m] = ts[p] + dts[p]
+            if hooks[m] is not None:
+                prev = FlowState(ts[p], prev_rho[p], prev_mom[p], group.grid)
+                hooks[m](prev, group.current(p, t[m]), dts[p])
+            if t[m] >= next_tick[m] - t_eps:
+                emit(m, group.current(p, t[m]))
+                last_emit[m] = t[m]
+                laps = int(np.floor((t[m] - t0[m]) / tick + 1e-9))
+                next_tick[m] = t0[m] + (laps + 1) * tick
 
 
 def step_ratio(ratio, velocity, dt, barrier):

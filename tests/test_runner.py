@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 
 import pytest
 
@@ -336,3 +338,30 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "sw" / "summary.json").is_file()
+
+
+class TestCheckStepSize:
+    def projected_steps(self, tmp_path, capsys, text):
+        path = tmp_path / "check.ini"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        dt0 = float(re.search(r"initial stable_dt (\S+)", out).group(1))
+        steps = int(re.search(r"projected steps >= (\d+)", out).group(1))
+        return dt0, steps
+
+    def test_preset_prints_a_finite_projection(self, tmp_path, capsys):
+        dt0, steps = self.projected_steps(tmp_path, capsys, "[scenario]\nname = traffic_1d\n")
+        assert 0.0 < dt0 < 1.0
+        assert steps == math.ceil(1.0 / dt0)
+        assert 1000 < steps < 10000
+
+    def test_vacuum_tail_projects_an_unrunnable_step_count(self, tmp_path, capsys):
+        # the 1/rho viscous rate of the near-empty tail cells pins dt near 2e-15
+        dt0, steps = self.projected_steps(
+            tmp_path,
+            capsys,
+            "[scenario]\nname = traffic_1d\ninitial_base = 0\ninitial_amp = 0.7\n",
+        )
+        assert dt0 < 1e-14
+        assert steps > 1e12
