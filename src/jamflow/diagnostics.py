@@ -25,6 +25,7 @@ DEFAULT_CONGESTED_DELTA = 0.05
 DIVERGENCE_FLOOR = 1e-14
 MATCHED_PRESSURE_FRACTION = 0.5
 MATCHED_DELTA_CAP = 0.25
+THRESHOLD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,19 +226,27 @@ def pressure_level_threshold(law, level, r_hint=None):
     pressure becomes load-bearing.  This inverts the (monotone) pressure so
     each run can be probed at the ratio where its own law carries ``level``.
     Returns None when the law never reaches ``level`` below ``r_hint``.
-    """
-    from scipy.optimize import brentq
 
+    The root is bracketed in delta, between 1 - min(r_hint, 1 - 1e-12) and
+    1 - 1e-9, and bisected until the bracket is within THRESHOLD_RTOL of
+    its midpoint.
+    """
     if level <= 0.0:
         raise ParameterError(f"pressure level must be positive, got {level}")
     rlaw = ratio_law(law)
     hi = min(r_hint if r_hint is not None else 1.0 - 1e-9, 1.0 - 1e-12)
-    lo = 1e-9
-    f = lambda r: float(rlaw.pressure(r)) - level
-    if f(hi) < 0.0:
+    if float(rlaw.pressure(hi)) < level:
         return None
-    root = brentq(f, lo, hi, rtol=1e-12)
-    return float(1.0 - root)
+    # pi(1 - delta) falls as delta grows
+    below, above = 1.0 - hi, 1.0 - 1e-9
+    while True:
+        mid = 0.5 * (below + above)
+        if above - below <= THRESHOLD_RTOL * mid or not below < mid < above:
+            return mid
+        if float(rlaw.pressure(1.0 - mid)) < level:
+            above = mid
+        else:
+            below = mid
 
 
 def matched_congestion_delta(

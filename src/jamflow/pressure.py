@@ -138,31 +138,47 @@ class PressureLawBase:
     # on the whole half line
     singular_at: float | None = None
 
+    def _singular_error(self):
+        return BarrierViolation(f"{self.kind} law undefined at argument >= {self.singular_at}")
+
     def _checked(self, r):
         arr = _as_ratio_array(r)
         if self.singular_at is not None and np.any(arr >= self.singular_at):
-            raise BarrierViolation(
-                f"{self.kind} law undefined at argument >= {self.singular_at}"
-            )
+            raise self._singular_error()
         return arr
+
+    def _check_range(self, lo, hi):
+        """Raise what ``_checked`` raises for arguments spanning [lo, hi]."""
+        if lo < 0.0:
+            raise ParameterError("law argument must be nonnegative")
+        if self.singular_at is not None and hi >= self.singular_at:
+            raise self._singular_error()
+
+    # The unchecked terms below take the argument r together with om = 1 - r,
+    # so that a caller evaluating several terms at one argument forms 1 - r
+    # once; laws whose formulas do not use 1 - r ignore it.
+
+    def _enthalpy(self, r, om):
+        pos = r > 0.0
+        safe = np.where(pos, r, 1.0)
+        over_r = np.where(pos, self._pi(r, om) / safe, 0.0)
+        return over_r + self._energy(r, om)
 
     def pressure(self, r):
         arr = self._checked(r)
-        return _match_shape(self._pi(arr), r)
+        return _match_shape(self._pi(arr, 1.0 - arr), r)
 
     def pressure_deriv(self, r):
         arr = self._checked(r)
-        return _match_shape(self._dpi(arr), r)
+        return _match_shape(self._dpi(arr, 1.0 - arr), r)
 
     def energy_potential(self, r):
         arr = self._checked(r)
-        return _match_shape(self._energy(arr), r)
+        return _match_shape(self._energy(arr, 1.0 - arr), r)
 
     def enthalpy(self, r):
         arr = self._checked(r)
-        safe = np.where(arr > 0.0, arr, 1.0)
-        over_r = np.where(arr > 0.0, self._pi(arr) / safe, 0.0)
-        return _match_shape(over_r + self._energy(arr), r)
+        return _match_shape(self._enthalpy(arr, 1.0 - arr), r)
 
 
 @dataclass(frozen=True)
@@ -180,20 +196,15 @@ class SingularLaw(PressureLawBase):
         _require_positive(self.kind, eps=self.eps, alpha=self.alpha, beta=self.beta)
         _warn_if_shallow(self.kind, self.alpha, self.beta)
 
-    def _pi(self, r):
-        return self.eps * r**self.alpha * (1.0 - r) ** (-self.beta)
+    def _pi(self, r, om):
+        return self.eps * r**self.alpha * om ** (-self.beta)
 
-    def _dpi(self, r):
+    def _dpi(self, r, om):
         a, b = self.alpha, self.beta
-        return (
-            self.eps
-            * r ** (a - 1.0)
-            * (1.0 - r) ** (-b - 1.0)
-            * (a * (1.0 - r) + b * r)
-        )
+        return self.eps * r ** (a - 1.0) * om ** (-b - 1.0) * (a * om + b * r)
 
-    def _energy(self, r):
-        return _steep_energy(self, self.eps, self.alpha, self.beta, r)
+    def _energy(self, r, om):
+        return _steep_energy(self, self.eps, self.alpha, self.beta, r, om)
 
 
 @dataclass(frozen=True)
@@ -211,13 +222,13 @@ class BarotropicLaw(PressureLawBase):
         if not (self.gamma_n > 1.0):
             raise ParameterError(f"barotropic law: gamma_n must exceed 1, got {self.gamma_n}")
 
-    def _pi(self, r):
+    def _pi(self, r, om):
         return self.a * r**self.gamma_n
 
-    def _dpi(self, r):
+    def _dpi(self, r, om):
         return self.a * self.gamma_n * r ** (self.gamma_n - 1.0)
 
-    def _energy(self, r):
+    def _energy(self, r, om):
         g = self.gamma_n
         return self.a / (g - 1.0) * r ** (g - 1.0)
 
@@ -274,31 +285,29 @@ class TruncatedLaw(PressureLawBase):
     def _cap_pow(self):
         return self._cap ** (self.alpha - 1.0)
 
-    def _pi(self, s):
+    # the steep branch sees min(s, 1 - delta), so 1 - s goes unused
+
+    def _pi(self, s, om):
         below = np.minimum(s, self._cap)
         steep = self.eps * below**self.alpha * (1.0 - below) ** (-self.beta)
         capped = self.eps * s**self.alpha * self._frozen_factor
         sing = np.where(s < self._cap, steep, capped)
         return self.kappa * s**self.cap_k + sing
 
-    def _dpi(self, s):
+    def _dpi(self, s, om):
         a, b = self.alpha, self.beta
         below = np.minimum(s, self._cap)
-        steep = (
-            self.eps
-            * below ** (a - 1.0)
-            * (1.0 - below) ** (-b - 1.0)
-            * (a * (1.0 - below) + b * below)
-        )
+        om_below = 1.0 - below
+        steep = self.eps * below ** (a - 1.0) * om_below ** (-b - 1.0) * (a * om_below + b * below)
         capped = self.eps * a * s ** (a - 1.0) * self._frozen_factor
         sing = np.where(s < self._cap, steep, capped)
         return self.kappa * self.cap_k * s ** (self.cap_k - 1.0) + sing
 
-    def _energy(self, s):
+    def _energy(self, s, om):
         k = self.cap_k
         background = self.kappa / (k - 1.0) * s ** (k - 1.0)
         below = np.minimum(s, self._cap)
-        steep = _steep_energy(self, self.eps, self.alpha, self.beta, below)
+        steep = _steep_energy(self, self.eps, self.alpha, self.beta, below, 1.0 - below)
         a = self.alpha
         tail = np.where(
             s > self._cap,
@@ -335,25 +344,31 @@ class SedimentationLaw(PressureLawBase):
     def singular_at(self):
         return self.phi_star
 
-    def _pi(self, phi):
+    # the blow-up sits at phi_star, so 1 - phi goes unused
+
+    def _pi(self, phi, om):
         return self.c0 * phi**self.s_exp / (self.phi_star - phi)
 
-    def _dpi(self, phi):
+    def _dpi(self, phi, om):
         s = self.s_exp
         num = s * self.phi_star - (s - 1.0) * phi
         return self.c0 * phi ** (s - 1.0) * num / (self.phi_star - phi) ** 2
 
-    def _energy(self, phi):
+    def _energy(self, phi, om):
         s, ps = self.s_exp, self.phi_star
-        return _steep_energy(self, self.c0 * ps ** (s - 2.0), s, 1.0, phi / ps)
+        x = phi / ps
+        return _steep_energy(self, self.c0 * ps ** (s - 2.0), s, 1.0, x, 1.0 - x)
 
 
-def _steep_energy(law, eps, alpha, beta, r):
-    """Antiderivative of eps * s**(alpha-2) * (1-s)**(-beta) from 0 to r."""
+def _steep_energy(law, eps, alpha, beta, r, om):
+    """Antiderivative of eps * s**(alpha-2) * (1-s)**(-beta) from 0 to r.
+
+    ``om`` is 1 - r; the integer-alpha sum is written in it.
+    """
     if alpha <= 1.0:
         raise ParameterError(f"{law.kind} law: potentials need alpha > 1")
     if float(alpha).is_integer():
-        return _steep_energy_closed(eps, int(round(alpha)), beta, np.asarray(r, dtype=float))
+        return _steep_energy_closed(eps, int(round(alpha)), beta, om)
     return _steep_energy_hyp(eps, alpha, beta, r)
 
 
@@ -362,12 +377,11 @@ def _steep_energy_hyp(eps, alpha, beta, r):
     return eps * r ** (alpha - 1.0) / (alpha - 1.0) * hyp2f1(alpha - 1.0, beta, alpha, r)
 
 
-def _steep_energy_closed(eps, alpha, beta, r):
+def _steep_energy_closed(eps, alpha, beta, one_minus):
     # substitute s -> 1 - t and expand (1 - t)**(alpha - 2) binomially;
     # each term's primitive is a power of (1 - t), or a log when the
-    # exponent cancels
+    # exponent cancels; the argument is 1 - r
     m = alpha - 2
-    one_minus = 1.0 - r
     total = np.zeros_like(one_minus)
     for k in range(m + 1):
         coeff = math.comb(m, k) * (-1.0) ** k
@@ -406,6 +420,24 @@ class _ScaledRatioLaw:
 
     def energy_potential(self, r):
         return self.scale * self.law.energy_potential(np.asarray(r, dtype=float) * self.scale)
+
+    # unchecked terms, as on PressureLawBase; the law gets 1 - x of its own
+    # argument x = scale * r
+
+    def _check_range(self, lo, hi):
+        self.law._check_range(lo * self.scale, hi * self.scale)
+
+    def _pi(self, r, om):
+        x = r * self.scale
+        return self.law._pi(x, 1.0 - x)
+
+    def _dpi(self, r, om):
+        x = r * self.scale
+        return self.scale * self.law._dpi(x, 1.0 - x)
+
+    def _enthalpy(self, r, om):
+        x = r * self.scale
+        return self.scale * self.law._enthalpy(x, 1.0 - x)
 
 
 def ratio_law(law):

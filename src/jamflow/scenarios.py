@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .domain import (
     build_barrier,
@@ -75,10 +74,12 @@ def build_initial(spec, grid, barrier):
 
 
 # ---------------------------------------------------------------------------
-# manufactured solutions
+# manufactured solutions (sympy is imported only when one is built)
 
 def _symbolic_pressure(law, r):
     """Congestion pressure as a sympy expression of the ratio symbol."""
+    import sympy as sp
+
     if law is None:
         return sp.Integer(0)
     if isinstance(law, SingularLaw):
@@ -97,6 +98,8 @@ def _symbolic_pressure(law, r):
 
 
 def _symbolic_barrier(spec, x):
+    import sympy as sp
+
     if spec is None:
         return sp.Integer(1)
     if isinstance(spec, (int, float)):
@@ -135,6 +138,9 @@ class ManufacturedSolution:
     """
 
     def __init__(self, rho_expr, u_expr, law, params, barrier_spec=None):
+        import sympy as sp
+        from sympy.printing.numpy import NumPyPrinter
+
         t, x = sp.symbols("t x", real=True)
         local = {"t": t, "x": x, "pi": sp.pi}
         rho = sp.sympify(rho_expr, locals=local)
@@ -155,8 +161,18 @@ class ManufacturedSolution:
         self.law = law
         self.params = params
         self.exprs = {"rho": rho, "u": u, "barrier": bar}
+        # lambdify's default printer orders the terms of a sum by their
+        # hashes, which vary with PYTHONHASHSEED; printed in the order sympy
+        # stores them, the sources evaluate bit-identically in every process
+        printer = NumPyPrinter({
+            "fully_qualified_modules": False,
+            "inline": True,
+            "allow_unknown_functions": True,
+            "user_functions": {},
+            "order": "none",
+        })
         self._fns = {
-            name: sp.lambdify((t, x), expr, modules="numpy")
+            name: sp.lambdify((t, x), expr, modules="numpy", printer=printer)
             for name, expr in [
                 ("rho", rho),
                 ("u", u),

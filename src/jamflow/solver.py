@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .domain import (
     fill_scalar_ghosts,
     fill_velocity_ghosts,
     interior_view,
-    velocity_field,
 )
 from .errors import (
     BarrierViolation,
@@ -80,16 +80,19 @@ class SolverConfig:
 # serves a single state and a stack of sweep members; member m of a stack
 # goes through exactly the elementwise operations of its solo run.
 
-def _sl(dim, axis, s):
+@lru_cache(maxsize=None)
+def _sl(dim, axis, start, stop):
     out = [slice(None)] * dim
-    out[axis] = s
+    out[axis] = slice(start, stop)
     return (Ellipsis,) + tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _interior(dim):
     return (Ellipsis,) + (slice(1, -1),) * dim
 
 
+@lru_cache(maxsize=None)
 def _others(dim, axis):
     # interior cells along every axis but ``axis``
     other = [slice(1, -1)] * dim
@@ -98,34 +101,37 @@ def _others(dim, axis):
 
 
 def _face_mean(arr, axis, dim):
-    return 0.5 * (arr[_sl(dim, axis, slice(None, -1))] + arr[_sl(dim, axis, slice(1, None))])
+    return 0.5 * (arr[_sl(dim, axis, None, -1)] + arr[_sl(dim, axis, 1, None)])
 
 
-def _upwind(face_vel, arr, axis, dim):
-    # faces with zero velocity take hi; callers multiply by face_vel
-    lo = arr[_sl(dim, axis, slice(None, -1))]
-    hi = arr[_sl(dim, axis, slice(1, None))]
-    return np.where(face_vel > 0.0, lo, hi)
+def _upwind(forward, arr, axis, dim):
+    # ``forward`` is face velocity > 0; faces with zero velocity take hi,
+    # and callers multiply by the face velocity
+    return np.where(forward, arr[_sl(dim, axis, None, -1)], arr[_sl(dim, axis, 1, None)])
 
+
+# The differences below divide before they drop the ghost rows of the other
+# axes: the division then runs over a contiguous array, which numpy sweeps
+# several times faster than the strided interior view.
 
 def _face_div(flux, axis, dim, dx):
     """Difference of face fluxes, restricted to interior cells."""
-    d = flux[_sl(dim, axis, slice(1, None))] - flux[_sl(dim, axis, slice(None, -1))]
-    return d[_others(dim, axis)] / dx
+    d = flux[_sl(dim, axis, 1, None)] - flux[_sl(dim, axis, None, -1)]
+    return (d / dx)[_others(dim, axis)]
 
 
 def _centered_grad(arr, axis, dim, dx):
-    d = arr[_sl(dim, axis, slice(2, None))] - arr[_sl(dim, axis, slice(None, -2))]
-    return d[_others(dim, axis)] / (2.0 * dx)
+    d = arr[_sl(dim, axis, 2, None)] - arr[_sl(dim, axis, None, -2)]
+    return (d / (2.0 * dx))[_others(dim, axis)]
 
 
 def _second_diff(arr, axis, dim, dx):
     d = (
-        arr[_sl(dim, axis, slice(2, None))]
-        - 2.0 * arr[_sl(dim, axis, slice(1, -1))]
-        + arr[_sl(dim, axis, slice(None, -2))]
+        arr[_sl(dim, axis, 2, None)]
+        - 2.0 * arr[_sl(dim, axis, 1, -1)]
+        + arr[_sl(dim, axis, None, -2)]
     )
-    return d[_others(dim, axis)] / dx**2
+    return (d / dx**2)[_others(dim, axis)]
 
 
 def _cross_diff(arr, dx0, dx1):
@@ -142,15 +148,6 @@ def vacuum_floor(barrier):
     return VACUUM_REL_FLOOR * barrier.sup_value
 
 
-def _sound_speed(rho, law, params, barrier):
-    ratio = rho / barrier.interior
-    if np.any(ratio >= 1.0):
-        raise BarrierViolation("ratio reached 1 while evaluating wave speeds")
-    rlaw = ratio_law(law)
-    c2 = params.gamma * rho ** (params.gamma - 1.0) + rlaw.pressure_deriv(ratio)
-    return np.sqrt(c2)
-
-
 def effective_sound_speed(state, law, params, barrier):
     """Wave speed combining the gas and the congestion stiffness.
 
@@ -158,24 +155,145 @@ def effective_sound_speed(state, law, params, barrier):
     evaluated per interior cell.  Blows up as the ratio approaches 1,
     which is exactly what throttles the time step near jams.
     """
-    return _sound_speed(state.rho_interior, law, params, barrier)
+    ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
+    err = _sizing_error(ev.rlaw, *ev.ratio_range())
+    if err is not None:
+        raise err
+    return ev.sound_speed()[ev.inner]
 
 
-def _max_rate(rho, mom, law, params, barrier, dx):
-    """Largest combined rate of each member (a scalar for one state)."""
-    dim = len(dx)
-    space = tuple(range(-dim, 0))
-    floor = vacuum_floor(barrier)
-    rho_int = rho[_interior(dim)]
-    c = _sound_speed(rho_int, law, params, barrier)
-    u = velocity_field(rho, _components_first(mom, dim), floor)[_interior(dim)]
-    rate = np.zeros(rho_int.shape)
-    for ax in range(dim):
-        rate += (np.abs(u[ax]) + c) / dx[ax]
-    visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in dx)
-    occupied = rho_int > floor
-    rate[occupied] += visc / rho_int[occupied]
-    return rate.max(axis=space)
+class _Pass:
+    """One evaluation of a ghosted (possibly stacked) state.
+
+    Everything the step size and the Euler increments share is derived
+    here once: the vacuum mask and the density with vacuum cells set to 1
+    (shared by the velocity and the viscous rate), the velocity (components
+    first), the ratio with 1 - ratio, and rho**(gamma - 1) (shared by the
+    sound speed and the gas enthalpy).  The ghost layers mirror the
+    interior, so the ratio's extremes over the ghosted array are those of
+    the interior.
+    """
+
+    def __init__(self, rho, mom, law, params, barrier, dx):
+        self.dim = dim = len(dx)
+        self.space = tuple(range(-dim, 0))
+        self.inner = _interior(dim)
+        self.dx, self.params, self.barrier = dx, params, barrier
+        self.rlaw = ratio_law(law)
+        self.rho, self.mom = rho, _components_first(mom, dim)
+        self.occupied = rho > vacuum_floor(barrier)
+        self.safe = np.where(self.occupied, rho, 1.0)
+        self.u = np.where(self.occupied, self.mom / self.safe, 0.0)
+        self.ratio = rho / barrier.values
+        self.om = 1.0 - self.ratio
+        self._gas = None
+
+    def ratio_range(self):
+        """Smallest and largest ratio per member; NaN cells are skipped,
+        as the elementwise ``np.any`` checks of the laws skip them."""
+        space = self.space
+        return np.fmin.reduce(self.ratio, axis=space), np.fmax.reduce(self.ratio, axis=space)
+
+    def gas_power(self):
+        if self._gas is None:
+            self._gas = self.rho ** (self.params.gamma - 1.0)
+        return self._gas
+
+    def sound_speed(self):
+        """Per-cell wave speed, ghost layers included."""
+        dpi = self.rlaw._dpi(self.ratio, self.om)
+        return np.sqrt(self.params.gamma * self.gas_power() + dpi)
+
+    def rate(self):
+        """Largest combined rate of each member (a scalar for one state).
+
+        Per cell: the sum over the axes of (|u| + c) / dx, plus the
+        momentum-diffusion rate 2 * (2*mu + lam) * sum(1/dx**2) / rho on
+        cells above the vacuum floor.  Evaluated on the ghosted arrays,
+        whose contiguous layout is cheaper to sweep than the interior
+        view, and reduced over the interior.
+        """
+        params, dx = self.params, self.dx
+        c = self.sound_speed()
+        rate = (np.abs(self.u[0]) + c) / dx[0]
+        for ax in range(1, self.dim):
+            rate += (np.abs(self.u[ax]) + c) / dx[ax]
+        visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in dx)
+        rate += np.where(self.occupied, visc / self.safe, 0.0)
+        return rate[self.inner].max(axis=self.space)
+
+    def increments(self, force_form):
+        """Forward-Euler increments ``(drho, dmom)`` on interior cells,
+        momentum components first: upwind transport, the pressure force in
+        ``force_form`` and the viscous stress."""
+        dim, inner, dx, params, u = self.dim, self.inner, self.dx, self.params, self.u
+        rho, mom = self.rho, self.mom
+        rho_int = rho[inner]
+        drho = np.zeros(rho_int.shape)
+        dmom = np.zeros((dim,) + rho_int.shape)
+
+        for ax in range(dim):
+            uf = _face_mean(u[ax], ax, dim)
+            forward = uf > 0.0
+            mass_flux = uf * _upwind(forward, rho, ax, dim)
+            drho -= _face_div(mass_flux, ax, dim, dx[ax])
+            for comp in range(dim):
+                mom_flux = uf * _upwind(forward, mom[comp], ax, dim)
+                dmom[comp] -= _face_div(mom_flux, ax, dim, dx[ax])
+
+        g = params.gamma
+        if force_form == "potential":
+            phi = g / (g - 1.0) * self.gas_power() + self.rlaw._enthalpy(self.ratio, self.om)
+            for ax in range(dim):
+                dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
+        else:
+            gas = params.pressure(rho)
+            cong = self.rlaw._pi(self.ratio, self.om)
+            bar_int = self.barrier.interior
+            for ax in range(dim):
+                dmom[ax] -= _centered_grad(gas, ax, dim, dx[ax])
+                dmom[ax] -= bar_int * _centered_grad(cong, ax, dim, dx[ax])
+
+        mu, lam = params.mu, params.lam
+        if dim == 1:
+            dmom[0] += (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx[0])
+        else:
+            dx0, dx1 = dx
+            dmom[0] += (
+                (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
+                + mu * _second_diff(u[0], 1, dim, dx1)
+                + (mu + lam) * _cross_diff(u[1], dx0, dx1)
+            )
+            dmom[1] += (
+                (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
+                + mu * _second_diff(u[1], 0, dim, dx0)
+                + (mu + lam) * _cross_diff(u[0], dx0, dx1)
+            )
+        return drho, dmom
+
+
+def _sizing_error(rlaw, lo, hi):
+    """The BarrierViolation sizing a state whose ratio spans [lo, hi]
+    meets, or None; a negative ratio is a caller error and raises."""
+    if hi >= 1.0:
+        return BarrierViolation("ratio reached 1 while evaluating wave speeds")
+    rlaw._check_range(lo, hi)
+    return None
+
+
+def _tendency(rho, mom, law, params, barrier, dx, force_form):
+    """Each member's largest rate and Euler increments, from one pass.
+
+    Returns ``(errors, rate, drho, dmom)``: per member the error its
+    sizing meets, or None.  When any member has one, nothing else is
+    evaluated and the other three are None.
+    """
+    ev = _Pass(rho, mom, law, params, barrier, dx)
+    lo, hi = ev.ratio_range()
+    errors = [_sizing_error(ev.rlaw, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    if any(err is not None for err in errors):
+        return errors, None, None, None
+    return (errors, ev.rate(), *ev.increments(force_form))
 
 
 def _dt_from_rate(worst, cfl):
@@ -197,12 +315,15 @@ def stable_dt(state, law, params, barrier, grid=None, cfl=0.4):
     either mechanism alone recovers the familiar individual limits.
     """
     grid = grid or state.grid
-    worst = float(_max_rate(state.rho, state.mom, law, params, barrier, grid.dx))
-    return _dt_from_rate(worst, cfl)
+    ev = _Pass(state.rho, state.mom, law, params, barrier, grid.dx)
+    err = _sizing_error(ev.rlaw, *ev.ratio_range())
+    if err is not None:
+        raise err
+    return _dt_from_rate(float(ev.rate()), cfl)
 
 
-def _update(rho, mom, dt, law, params, barrier, cfg, dx, source=None):
-    """Forward-Euler update of ghosted fields, with per-member checks.
+def _apply(rho, mom, drho, dmom, dt, barrier, source=None):
+    """Forward-Euler update of ghosted fields from their increments.
 
     ``dt`` is a float, or an array broadcasting against the leading member
     axes; ``source`` is ``(mass_rate, momentum_rate)`` on interior cells,
@@ -210,66 +331,23 @@ def _update(rho, mom, dt, law, params, barrier, cfg, dx, source=None):
     ``(finite, negative, worst ratio)`` per member; the caller decides what
     a failed check means.
     """
-    dim = len(dx)
+    dim = len(dmom)
     space = tuple(range(-dim, 0))
     inner = _interior(dim)
-    floor = vacuum_floor(barrier)
-    mom_c = _components_first(mom, dim)
-    u = velocity_field(rho, mom_c, floor)
-    rlaw = ratio_law(law)
-    ratio = rho / barrier.values
-    rho_int = rho[inner]
-
-    drho = np.zeros(rho_int.shape)
-    dmom = np.zeros((dim,) + rho_int.shape)
-
-    for ax in range(dim):
-        uf = _face_mean(u[ax], ax, dim)
-        mass_flux = uf * _upwind(uf, rho, ax, dim)
-        drho -= _face_div(mass_flux, ax, dim, dx[ax])
-        for comp in range(dim):
-            mom_flux = uf * _upwind(uf, mom_c[comp], ax, dim)
-            dmom[comp] -= _face_div(mom_flux, ax, dim, dx[ax])
-
-    if cfg.force_form == "potential":
-        phi = params.enthalpy(rho) + rlaw.enthalpy(ratio)
-        for ax in range(dim):
-            dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
-    else:
-        gas = params.pressure(rho)
-        cong = rlaw.pressure(ratio)
-        bar_int = barrier.interior
-        for ax in range(dim):
-            dmom[ax] -= _centered_grad(gas, ax, dim, dx[ax])
-            dmom[ax] -= bar_int * _centered_grad(cong, ax, dim, dx[ax])
-
-    mu, lam = params.mu, params.lam
-    if dim == 1:
-        dmom[0] += (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx[0])
-    else:
-        dx0, dx1 = dx
-        dmom[0] += (
-            (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
-            + mu * _second_diff(u[0], 1, dim, dx1)
-            + (mu + lam) * _cross_diff(u[1], dx0, dx1)
-        )
-        dmom[1] += (
-            (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
-            + mu * _second_diff(u[1], 0, dim, dx0)
-            + (mu + lam) * _cross_diff(u[0], dx0, dx1)
-        )
-
-    new_rho = rho_int + dt * drho
-    new_mom = mom_c[inner] + dt * dmom
+    new_rho = rho[inner] + dt * drho
+    new_mom = _components_first(mom, dim)[inner] + dt * dmom
     if source is not None:
         mass_rate, mom_rate = source
         new_rho = new_rho + dt * mass_rate
         new_mom = new_mom + dt * mom_rate
 
-    finite = np.isfinite(new_rho).all(axis=space) & np.isfinite(new_mom).all(axis=(0,) + space)
-    negative = (new_rho < 0.0).any(axis=space)
+    # min and max carry any NaN and both infinities, so they decide the
+    # density's finiteness and sign in two reductions
+    low, high = new_rho.min(axis=space), new_rho.max(axis=space)
+    finite = np.isfinite(low) & np.isfinite(high) & np.isfinite(new_mom).all(axis=(0,) + space)
+    negative = low < 0.0
     worst = (new_rho / barrier.interior).max(axis=space)
-    new_mom = np.where(new_rho > floor, new_mom, 0.0)
+    new_mom = np.where(new_rho > vacuum_floor(barrier), new_mom, 0.0)
 
     out_rho = np.empty_like(rho)
     out_mom = np.empty_like(mom)
@@ -313,9 +391,10 @@ def step(state, dt, law, params, barrier, cfg, sources=None):
         If NaN or Inf appears in the updated fields.
     """
     source = sources(state.t) if sources is not None else None
-    rho, mom, checks = _update(
-        state.rho, state.mom, dt, law, params, barrier, cfg, state.grid.dx, source
-    )
+    ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
+    ev.rlaw._check_range(*ev.ratio_range())
+    drho, dmom = ev.increments(cfg.force_form)
+    rho, mom, checks = _apply(state.rho, state.mom, drho, dmom, dt, barrier, source)
     finite, negative, worst = checks
     err = _step_error(bool(finite), bool(negative), float(worst), state.t + dt, cfg)
     if err is not None:
@@ -359,6 +438,9 @@ class _Stacked:
     Only the kernels see the stacked arrays; ``rho[pos]`` and ``mom[pos]``
     keep the memory layout of a solo state.  Member states handed out are
     copies, so a stored record does not keep every member's fields alive.
+    ``size`` evaluates the state once, for the rates and the increments
+    (and the sources, which depend on the start time only), so a halved
+    retry only redoes the update.
     """
 
     def __init__(self, states, laws, params, barrier, cfg, sources):
@@ -369,40 +451,43 @@ class _Stacked:
         self.rho = np.stack([s.rho for s in states])
         self.mom = np.stack([s.mom for s in states])
         self.law = stack_laws(laws, self.grid.dim)
+        self.drho = self.dmom = self.source = None
 
     def current(self, pos, t):
         return FlowState(t, self.rho[pos].copy(), self.mom[pos].copy(), self.grid)
 
     def size(self, ts):
-        worst = _max_rate(
-            self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx
-        ).tolist()
+        errors, rate, self.drho, self.dmom = _tendency(
+            self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx,
+            self.cfg.force_form,
+        )
+        if rate is None:
+            return errors  # None for the members that were not sized
         out = []
-        for w in worst:
+        for w in rate.tolist():
             try:
                 out.append(_dt_from_rate(w, self.cfg.cfl))
             except DegenerateState as exc:
                 out.append(exc)
+        self.source = None
+        if any(self.sources[m] is not None for m in self.members):
+            rates = [self.sources[m](t) for m, t in zip(self.members, ts)]
+            self.source = (
+                np.stack([r[0] for r in rates]),
+                _components_first(np.stack([r[1] for r in rates]), self.grid.dim),
+            )
         return out
 
     def attempt(self, pos, ts, dts):
         dim = self.grid.dim
-        members = [self.members[p] for p in pos]
-        if len(pos) == len(self.members):
-            rho, mom, law = self.rho, self.mom, self.law
-        else:
-            rho, mom = self.rho[pos], self.mom[pos]
-            law = stack_laws([self.laws[m] for m in members], dim)
-        source = None
-        if any(self.sources[m] is not None for m in members):
-            rates = [self.sources[m](ts[p]) for m, p in zip(members, pos)]
-            source = (
-                np.stack([r[0] for r in rates]),
-                _components_first(np.stack([r[1] for r in rates]), dim),
-            )
+        rho, mom, drho, dmom, source = self.rho, self.mom, self.drho, self.dmom, self.source
+        if len(pos) < len(self.members):
+            rho, mom, drho, dmom = rho[pos], mom[pos], drho[pos], dmom[:, pos]
+            if source is not None:
+                source = (source[0][pos], source[1][:, pos])
         dt = np.array([dts[p] for p in pos]).reshape((len(pos),) + (1,) * dim)
-        rho, mom, (finite, negative, worst) = _update(
-            rho, mom, dt, law, self.params, self.barrier, self.cfg, self.grid.dx, source
+        rho, mom, (finite, negative, worst) = _apply(
+            rho, mom, drho, dmom, dt, self.barrier, source
         )
         errs = [
             _step_error(f, n, w, ts[p] + dts[p], self.cfg)
@@ -503,7 +588,7 @@ def advance(
         ts = [t[m] for m in live]
         dts = group.size(ts)
         for p, m in enumerate(live):
-            if not isinstance(dts[p], Exception):
+            if dts[p] is not None and not isinstance(dts[p], Exception):
                 dts[p] = min(dts[p], t_target - ts[p])
                 if dts[p] < 1e-14 * max(t_target, 1e-300):
                     dts[p] = DegenerateState(
@@ -512,7 +597,7 @@ def advance(
             if isinstance(dts[p], Exception):
                 outcome[m] = dts[p]
         if any(outcome[m] is not None for m in live):
-            continue  # retire the failed members before stepping the rest
+            continue  # retire the failed members, then size the rest again
 
         retries = [0] * len(live)
         pending = list(range(len(live)))
@@ -566,7 +651,7 @@ def step_ratio(ratio, velocity, dt, barrier):
     u_int = interior_view(velocity, dim)
     for ax in range(dim):
         uf = _face_mean(velocity[ax], ax, dim)
-        flux = uf * _upwind(uf, ghosted, ax, dim)
+        flux = uf * _upwind(uf > 0.0, ghosted, ax, dim)
         out -= dt * _face_div(flux, ax, dim, grid.dx[ax])
         out -= dt * ratio * u_int[ax] * barrier.log_grad[ax]
     if not np.all(np.isfinite(out)):

@@ -28,7 +28,14 @@ from jamflow.domain import (
     build_barrier,
     make_state,
 )
-from jamflow.pressure import FluidParams, SingularLaw, SteepnessWarning
+from jamflow.pressure import (
+    FluidParams,
+    SedimentationLaw,
+    SingularLaw,
+    SteepnessWarning,
+    TruncatedLaw,
+    ratio_law,
+)
 from jamflow.solver import SolverConfig, advance
 
 
@@ -353,3 +360,40 @@ class TestMatchedThreshold:
         law = make_singular(1e-3, 2.0, 2.0)
         assert matched_congestion_delta(law, 0.0) is None
         assert matched_congestion_delta(law, float("nan")) is None
+
+
+class TestThresholdBisection:
+    """The in-module bisection against scipy's Brent solver on the ratio."""
+
+    @staticmethod
+    def brent_ratio(law, level):
+        from scipy.optimize import brentq
+
+        rlaw = ratio_law(law)
+        return brentq(lambda r: float(rlaw.pressure(r)) - level, 1e-9, 1.0 - 1e-9, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            make_singular(1e-3, 2.0, 2.0),
+            make_singular(2e-4, 2.0, 3.0),
+            make_singular(1e-3, 2.5, 2.0),
+            TruncatedLaw(1e-3, 3.0, 3.0, kappa=1.0, cap_k=6.0, delta=0.05),
+            TruncatedLaw(1e-3, 3.0, 3.0, kappa=0.1, cap_k=6.0, delta=0.3),
+            SedimentationLaw(1.0, 3.0),
+            SedimentationLaw(0.01, 2.0, phi_star=0.6),
+        ],
+        ids=lambda law: law.kind,
+    )
+    def test_matches_brentq(self, law):
+        for peak in (0.3, 0.86, 0.95, 0.99, 0.9999):
+            level = 0.5 * float(ratio_law(law).pressure(peak))
+            delta = pressure_level_threshold(law, level)
+            assert 1.0 - delta == pytest.approx(self.brent_ratio(law, level), rel=1e-12)
+
+    def test_matches_the_closed_form(self):
+        # pi(1 - d) = eps (1-d)^2 / d^2 for alpha = beta = 2
+        law = make_singular(1e-3, 2.0, 2.0)
+        for level in (1e-3, 0.05, 0.4, 3.0, 1e3):
+            exact = 1.0 / (1.0 + np.sqrt(level / law.eps))
+            assert pressure_level_threshold(law, level) == pytest.approx(exact, rel=1e-12)

@@ -6,7 +6,12 @@ forcing is validated against an implementation that shares no code with
 it.
 """
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,8 @@ from jamflow.scenarios import (
     manufactured_sources,
     scenario_descriptions,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def quietly(fn, *args, **kwargs):
@@ -255,6 +262,31 @@ class TestManufacturedSolution:
         s_rho, s_mom = src(0.1)
         assert s_rho.shape == (48,)
         assert s_mom.shape == (1, 48)
+
+    def test_lambdified_sources_do_not_depend_on_the_hash_seed(self):
+        # sympy's default printer orders sums by hash; the printed
+        # functions, and so the evaluated sources, must be the same in
+        # every interpreter
+        probe = (
+            "import inspect, json, warnings\n"
+            "from jamflow.domain import ConstantBarrier\n"
+            "from jamflow.pressure import FluidParams, SingularLaw\n"
+            "from jamflow.scenarios import manufactured_default\n"
+            "warnings.simplefilter('ignore')\n"
+            "sol = manufactured_default(SingularLaw(0.05, 3.0, 3.0), "
+            "FluidParams(0.02, 0.0, 2.0), ConstantBarrier(1.0))\n"
+            "print(json.dumps({k: inspect.getsource(f) for k, f in sol._fns.items()}))\n"
+        )
+        sources = []
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True,
+                env=env, timeout=120, check=True,
+            )
+            sources.append(json.loads(proc.stdout.splitlines()[-1]))
+        assert set(sources[0]) >= {"mass_src", "mom_src"}
+        assert sources[0] == sources[1]
 
     def test_scenario_wires_manufactured_initial_data(self):
         scen = make_scenario("manufactured_1d", cells=(32,))

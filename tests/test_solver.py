@@ -352,6 +352,29 @@ class TestAdvance:
         with pytest.raises(StepFailure):
             advance(state, 2e-3, SOFT_LAW, FLUID, barrier, cfg)
 
+    def test_saturated_member_fails_alone_in_a_stack(self):
+        # a member whose ratio reaches 1 cannot be sized; stacked with a
+        # sound member it ends with its solo error while the other runs on
+        grid = Grid((1.0,), (40,))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        x = grid.centers(0)
+        good = make_state(grid, 0.4 + 0.1 * np.sin(2 * np.pi * x), np.zeros((1, 40)))
+        rho0 = np.full(40, 0.5)
+        rho0[17] = 1.0
+        bad = make_state(grid, rho0, np.zeros((1, 40)))
+        law = make_singular(1e-3, 2.0, 4.0)
+        cfg = SolverConfig(t_end=0.02)
+        with pytest.raises(BarrierViolation) as solo_error:
+            advance(bad, 0.02, law, FLUID, barrier, cfg)
+        solo = advance(good, 0.02, law, FLUID, barrier, cfg)
+
+        final, error = advance([good, bad], 0.02, [law, law], FLUID, barrier, cfg)
+        assert isinstance(error, BarrierViolation)
+        assert str(error) == str(solo_error.value)
+        assert final.t == solo.t == pytest.approx(0.02)
+        assert final.rho.tobytes() == solo.rho.tobytes()
+        assert final.mom.tobytes() == solo.mom.tobytes()
+
 
 class TestRatioTransport:
     def test_reduces_to_upwind_for_constant_barrier(self):
