@@ -8,6 +8,7 @@ that the interpolated wall-face velocity is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,8 @@ class Grid:
             raise ParameterError("grid extents and cells must have matching dimension")
         if len(self.cells) not in (1, 2):
             raise ParameterError("only 1D and 2D grids are supported")
+        if not all(math.isfinite(e) for e in self.extents):
+            raise ParameterError(f"grid extents must be finite, got {self.extents}")
         if any(e <= 0 for e in self.extents):
             raise ParameterError("grid extents must be positive")
         if any(n < 3 for n in self.cells):

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -107,7 +107,8 @@ class FluidParams:
     """
 
     mu: float
-    lam: float
+    # a config spells it ``lambda`` and may leave it out
+    lam: float = field(metadata={"key": "lambda", "default": 0.0})
     gamma: float
 
     def __post_init__(self):

@@ -44,6 +44,13 @@ class FillFraction:
             raise ParameterError(f"fill fraction must lie in (0, 1), got {self.fraction}")
 
 
+# every profile spec by kind; fill_fraction is an initial profile only
+PROFILE_KINDS = {
+    cls.kind: cls
+    for cls in (ConstantBarrier, TanhStepBarrier, GaussianBumpBarrier, PipeBarrier, FillFraction)
+}
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Density profile plus a uniform initial velocity."""

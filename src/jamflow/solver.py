@@ -19,7 +19,7 @@ constraint strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +53,7 @@ class SolverConfig:
     barrier_tol: float = 1e-6
     max_substeps: int = 40
     snapshot_every: float = 0.01
-    force_form: str = "potential"
+    force_form: str = field(default="potential", metadata={"choices": FORCE_FORMS})
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -64,6 +64,9 @@ class SolverConfig:
             )
         if self.max_substeps < 1:
             raise ParameterError("max_substeps must be at least 1")
+        for name in ("t_end", "snapshot_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_end < 0.0:
             raise ParameterError(f"t_end must be nonnegative, got {self.t_end}")
         if self.snapshot_every <= 0.0:

@@ -1,6 +1,7 @@
 """Config parsing, validation diagnostics, and round-trip identity."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,9 @@ CUSTOM_TEXT = textwrap.dedent(
     t_end = 0.25
     """
 )
+
+
+TRUNCATED = "[pressure]\nkind = truncated\nkappa = 1.0\ncap_k = 6.0\ndelta = 0.1\n"
 
 
 def issues_of(excinfo):
@@ -219,6 +223,76 @@ class TestValidationIssues:
         with pytest.raises(IoError):
             parse_config_file(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "entry, issue_key, word",
+        [
+            # SolverConfig and Grid constructor errors are reported where
+            # they always were: solver.t_end and grid.cells
+            ("[solver]\nt_end = {}", "solver.t_end", "t_end"),
+            ("[solver]\nsnapshot_every = {}", "solver.t_end", "snapshot_every"),
+            ("[output]\nfields_every = {}", "output.fields_every", "finite"),
+            ("[grid]\nextent = {}", "grid.cells", "extents"),
+            ("[sweep]\nkind = eps\nvalues = 1e-2, {}", "sweep.values", "finite"),
+            (TRUNCATED + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, 2.0:{}", "sweep.pairs", "finite"),
+        ],
+        ids=["t_end", "snapshot_every", "fields_every", "extent", "values", "pairs"],
+    )
+    def test_non_finite_numbers_rejected(self, entry, issue_key, word, value):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("[scenario]\nname = traffic_1d\n" + entry.format(value) + "\n")
+        reason = issues_of(exc)[issue_key]
+        assert "finite" in reason and word in reason
+
+    def test_uniform_is_an_alias_of_constant(self):
+        cfg = parse_config(
+            "[scenario]\nname = traffic_1d\ninitial_kind = uniform\ninitial_value = 0.4\n"
+            "[barrier]\nkind = uniform\nvalue = 0.9\n"
+        )
+        assert cfg.barrier.kind == "constant"
+        assert cfg.initial.profile.kind == "constant"
+        out = serialize_config(cfg)
+        assert "kind = constant" in out and "initial_kind = constant" in out
+        assert "uniform" not in out
+
+    def test_switching_preset_barrier_to_uniform_drops_stale_shape_keys(self):
+        cfg = parse_config(
+            "[scenario]\nname = lane_narrowing_1d\n[barrier]\nkind = uniform\nvalue = 0.9\n"
+        )
+        assert cfg.barrier.kind == "constant"
+        assert cfg.barrier.value == 0.9
+
+    def test_fill_fraction_out_of_range_reported_at_its_key(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(
+                "[scenario]\nname = pipe_1d\ninitial_kind = fill_fraction\ninitial_fraction = 1.5\n"
+            )
+        assert "(0, 1)" in issues_of(exc)["scenario.initial_fraction"]
+
+    def test_every_missing_law_key_is_reported(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("[scenario]\nname = traffic_1d\n[pressure]\nkind = truncated\n")
+        assert set(issues_of(exc)) == {"pressure.kappa", "pressure.cap_k", "pressure.delta"}
+
+    def test_bad_law_number_leaves_other_keys_known(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("[scenario]\nname = traffic_1d\n[pressure]\neps = x\n")
+        assert exc.value.issues == [("pressure.eps", 4, "expected a number, got 'x'")]
+
+    def test_initial_broadcast_issue_uses_prefixed_key(self):
+        text = CUSTOM_TEXT.replace("initial_center = 0.3", "initial_center = 0.3, 0.4")
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        [(key, line, reason)] = exc.value.issues
+        assert (key, line) == ("scenario.initial_center", 7)
+        assert "expected 1 or 1 values" in reason
+
+    def test_fill_fraction_is_not_a_barrier_kind(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("[scenario]\nname = traffic_1d\n[barrier]\nkind = fill_fraction\nfraction = 0.5\n")
+        reason = issues_of(exc)["barrier.kind"]
+        assert "fill_fraction" in reason and "must be one of" in reason
+
 
 class TestSweepValidation:
     BASE = "[scenario]\nname = traffic_1d\n"
@@ -283,10 +357,16 @@ class TestRoundTrip:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
 
-    def test_sweep_config_round_trips(self):
-        cfg = parse_config(
-            "[scenario]\nname = traffic_1d\n[sweep]\nkind = eps\nvalues = 0.01, 0.001\n"
-        )
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "[sweep]\nkind = eps\nvalues = 0.01, 0.001\n",
+            TRUNCATED + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, 2.0:0.05\n",
+        ],
+        ids=["eps", "kappa_delta"],
+    )
+    def test_sweep_config_round_trips(self, extra):
+        cfg = parse_config("[scenario]\nname = traffic_1d\n" + extra)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
 
@@ -304,6 +384,20 @@ class TestRoundTrip:
         )
         blob = json.dumps(config_to_dict(cfg))
         assert "traffic_1d" in blob
+
+    def test_config_to_dict_types_spec_values(self):
+        cfg = parse_config("[scenario]\nname = crowd_blob_2d\n[sweep]\nkind = eps\nvalues = 0.01, 0.001\n")
+        view = config_to_dict(cfg)
+        assert view["scenario"] == "crowd_blob_2d"
+        assert view["barrier"] == {
+            "kind": "gaussian_bump", "base": 1.0, "amp": -0.6, "center": [0.6, 0.5], "width": 0.12,
+        }
+        assert view["pressure"] == {"kind": "singular", "eps": 0.001, "alpha": 2.0, "beta": 2.0}
+        assert view["initial"]["center"] == [0.32, 0.5]
+        assert view["initial"]["velocity"] == [1.0, 0.0]
+        assert view["fluid"] == {"mu": 0.01, "lambda": 0.0, "gamma": 8.0}
+        assert view["solver"]["max_substeps"] == 40
+        assert view["sweep"] == {"kind": "eps", "values": [[0.01], [0.001]]}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -345,3 +439,36 @@ class TestRoundTrip:
         assert again == cfg
         assert again.law.eps == eps
         assert again.solver.cfl == cfl
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# inputs whose canonical text is pinned byte for byte in tests/golden/:
+# meta.json's config_text is what reproduces a run, so it must not drift
+GOLDEN_INPUTS = {
+    **{
+        name: f"[scenario]\nname = {name}\n"
+        for name in ("traffic_1d", "lane_narrowing_1d", "pipe_1d", "crowd_blob_2d", "manufactured_1d")
+    },
+    "custom": CUSTOM_TEXT,
+    "sweep_eps": "[scenario]\nname = traffic_1d\n[sweep]\nkind = eps\nvalues = 1e-2, 1e-3, 1e-4\n",
+    "sweep_kappa_delta": (
+        "[scenario]\nname = traffic_1d\n" + TRUNCATED
+        + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, 2.0:0.05\n"
+    ),
+    "fill_fraction": (
+        "[scenario]\nname = lane_narrowing_1d\ninitial_kind = fill_fraction\n"
+        "initial_fraction = 0.7\n"
+    ),
+    "bump_2d_broadcast_center": (
+        "[scenario]\nname = crowd_blob_2d\ninitial_center = 0.25\n"
+        "[barrier]\ncenter = 0.5\n[output]\nfields_every = 0.05\n"
+    ),
+}
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_INPUTS))
+    def test_serialized_text_is_pinned(self, label):
+        expected = (GOLDEN_DIR / f"{label}.ini").read_text(encoding="utf-8")
+        assert serialize_config(parse_config(GOLDEN_INPUTS[label])) == expected

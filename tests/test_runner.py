@@ -365,3 +365,9 @@ class TestCheckStepSize:
         )
         assert dt0 < 1e-14
         assert steps > 1e12
+
+    def test_infinite_horizon_is_an_invalid_config(self, tmp_path, capsys):
+        path = tmp_path / "check.ini"
+        path.write_text("[scenario]\nname = traffic_1d\n[solver]\nt_end = inf\n")
+        assert main(["check", str(path)]) == 2
+        assert "t_end must be finite" in capsys.readouterr().err
