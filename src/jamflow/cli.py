@@ -171,14 +171,19 @@ def main(argv=None):
         return EXIT_SOLVER
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def entry():
-    # each distinct warning once, one line, no source-location noise
-    warnings.simplefilter("once")
-    warnings.showwarning = _print_warning
+    # each distinct warning once, one line, no source-location noise; the
+    # "once" filter would not do, as CPython keeps its registry per module
+    shown = set()
+
+    def print_warning(message, category, filename, lineno, file=None, line=None):
+        key = (category, str(message))
+        if key not in shown:
+            shown.add(key)
+            print(f"warning: {message}", file=sys.stderr)
+
+    warnings.simplefilter("always")
+    warnings.showwarning = print_warning
     sys.exit(main())
 
 

@@ -373,10 +373,11 @@ def parse_config(text, overrides=()):
 
     grid_sec = _Section("grid", merged.get("grid", {}), issues)
     cells = grid_sec.ints("cells", required=True)
+    extent = grid_sec.floats("extent", (1.0,))
     grid = None
     if cells:
         dim = len(cells)
-        extent = _broadcast(grid_sec.floats("extent", (1.0,)), dim, grid_sec, "extent")
+        extent = _broadcast(extent, dim, grid_sec, "extent")
         try:
             grid = Grid(extents=extent, cells=cells)
         except ParameterError as exc:

@@ -44,6 +44,12 @@ r >= 0.9999 the relative error reaches 1e-6 to 5e-5, and 5e-4 at
 |beta - 1| = 1e-12; near beta = 2 it stays below 1e-6, near beta = 3
 below 1e-10.  Exact integers, and every beta with |beta - n| >= 1e-3, are
 accurate to 1e-12.
+
+``scipy.special`` costs more to import than numpy and the rest of the
+package together, so it loads only when a law with a non-integer exponent
+is built (``_hyp2f1``).  Building the law, not evaluating it, is what
+loads it: a config naming such a law pays for the import while it is
+parsed, never inside the run.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import BarrierViolation, ParameterError
 
@@ -84,6 +89,20 @@ def _require_positive(kind, **fields):
     for name, value in fields.items():
         if not (value > 0.0):
             raise ParameterError(f"{kind} law: {name} must be positive, got {value}")
+
+
+@lru_cache(maxsize=None)
+def _hyp2f1():
+    """scipy's Gauss hypergeometric function, imported on first use."""
+    from scipy.special import hyp2f1
+
+    return hyp2f1
+
+
+def _preload_hyp2f1(alpha):
+    # a non-integer alpha takes the hypergeometric form of the potential
+    if not float(alpha).is_integer():
+        _hyp2f1()
 
 
 def _warn_if_shallow(kind, alpha, beta):
@@ -196,6 +215,7 @@ class SingularLaw(PressureLawBase):
     def __post_init__(self):
         _require_positive(self.kind, eps=self.eps, alpha=self.alpha, beta=self.beta)
         _warn_if_shallow(self.kind, self.alpha, self.beta)
+        _preload_hyp2f1(self.alpha)
 
     def _pi(self, r, om):
         return self.eps * r**self.alpha * om ** (-self.beta)
@@ -267,6 +287,7 @@ class TruncatedLaw(PressureLawBase):
         if not (0.0 < self.delta < 1.0):
             raise ParameterError(f"truncated law: delta must lie in (0, 1), got {self.delta}")
         _warn_if_shallow(self.kind, self.alpha, self.beta)
+        _preload_hyp2f1(self.alpha)
 
     # derived constants are cached per law, so that stack_laws can carry
     # each member's own scalar value rather than one recomputed on an array
@@ -340,6 +361,7 @@ class SedimentationLaw(PressureLawBase):
             raise ParameterError(
                 f"sedimentation law: s_exp must lie in [2, 5], got {self.s_exp}"
             )
+        _preload_hyp2f1(self.s_exp)
 
     @property
     def singular_at(self):
@@ -375,6 +397,7 @@ def _steep_energy(law, eps, alpha, beta, r, om):
 
 def _steep_energy_hyp(eps, alpha, beta, r):
     # the incomplete beta function in Gauss hypergeometric form, DLMF 8.17.7
+    hyp2f1 = _hyp2f1()
     return eps * r ** (alpha - 1.0) / (alpha - 1.0) * hyp2f1(alpha - 1.0, beta, alpha, r)
 
 

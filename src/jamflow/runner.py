@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -189,6 +191,33 @@ def _prepare(cfg, out, started, keep_states, write_artifacts):
     return member
 
 
+# glibc's malloc hands the free top of its heap back to the system once
+# it exceeds M_TRIM_THRESHOLD, which starts at 128 KiB and grows only as
+# large mmapped blocks are freed.  A 2D step frees its temporaries there,
+# so each step returned pages and faulted them in again: 303k minor faults
+# in a 96x96 crowd run to t=0.2 (829 with the fixed thresholds below),
+# about 5 % of its wall time.  Fixed thresholds keep blocks under 32 MiB on
+# the heap and its top until 64 MiB is free.  The trim threshold alone
+# would send every block over 128 KiB to mmap, which is slower still.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_THRESHOLDS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+@lru_cache(maxsize=None)
+def _keep_step_memory():
+    """Keep freed step temporaries on the heap for the next step (glibc)."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        for param, value in _HEAP_THRESHOLDS:
+            mallopt(param, value)
+
+
 def _run_members(runs, started, keep_states=True, write_artifacts=True):
     """Prepare every ``(cfg, out)`` run, advance the admissible ones together.
 
@@ -203,6 +232,7 @@ def _run_members(runs, started, keep_states=True, write_artifacts=True):
     if not live:
         return members
     cfg = live[0].cfg
+    _keep_step_memory()
     outcomes = advance(
         [m.state for m in live], cfg.solver.t_end, [m.cfg.law for m in live], cfg.fluid,
         live[0].barrier, cfg.solver,

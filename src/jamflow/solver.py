@@ -526,7 +526,8 @@ def advance(
     Emits a diagnostics record through ``sink(state, record)`` at the start,
     at every ``cfg.snapshot_every`` crossing, and at the final time.  On a
     barrier violation the step is halved and retried up to
-    ``cfg.max_substeps`` times before StepFailure.  ``step_hook(prev, new,
+    ``cfg.max_substeps`` times before StepFailure; a step, sized or halved,
+    below 1e-14 * ``t_target`` raises DegenerateState.  ``step_hook(prev, new,
     dt)`` runs after every accepted step (companion-field transport).
 
     Sweep members advance together: pass lists of member states (one grid),
@@ -557,6 +558,7 @@ def advance(
     t0 = list(t)
     tick = cfg.snapshot_every
     t_eps = 1e-12 * max(1.0, abs(t_target))
+    dt_floor = 1e-14 * max(t_target, 1e-300)
     outcome = [None] * n
     group = (_Solo if n == 1 else _Stacked)(state, law, params, barrier, cfg, sources)
 
@@ -593,7 +595,7 @@ def advance(
         for p, m in enumerate(live):
             if dts[p] is not None and not isinstance(dts[p], Exception):
                 dts[p] = min(dts[p], t_target - ts[p])
-                if dts[p] < 1e-14 * max(t_target, 1e-300):
+                if dts[p] < dt_floor:
                     dts[p] = DegenerateState(
                         f"time step {dts[p]:.3e} underflowed at t={ts[p]:.6g}"
                     )
@@ -615,7 +617,13 @@ def advance(
                 if isinstance(err, BarrierViolation) and retries[p] < cfg.max_substeps:
                     retries[p] += 1
                     dts[p] *= 0.5
-                    halved.append(p)
+                    if dts[p] < dt_floor:
+                        outcome[live[p]] = DegenerateState(
+                            f"time step {dts[p]:.3e} underflowed after {retries[p]}"
+                            f" halvings at t={ts[p]:.6g}"
+                        )
+                    else:
+                        halved.append(p)
                 elif isinstance(err, BarrierViolation):
                     outcome[live[p]] = _no_admissible_step(cfg, ts[p], err)
                 elif err is not None:

@@ -183,6 +183,14 @@ class TestValidationIssues:
         assert "solver.t_end" in keys
         assert "scenario.initial_kind" in keys
 
+    @pytest.mark.parametrize("cells", ["", "cells = x\n"], ids=["missing", "malformed"])
+    def test_extent_is_a_known_key_whatever_cells_holds(self, cells):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("[scenario]\nname = custom\n[grid]\n" + cells + "extent = 1\n")
+        keys = issues_of(exc)
+        assert "grid.cells" in keys
+        assert "grid.extent" not in keys
+
     def test_manufactured_rejects_initial_profile(self):
         with pytest.raises(ValidationError) as exc:
             parse_config(

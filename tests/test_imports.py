@@ -1,9 +1,12 @@
-"""What importing the package and parsing a config load.
+"""What importing the package, parsing a config and building a law load.
 
-sympy and scipy's solvers are paid for only by the code that uses them:
-manufactured solutions and the tests.  ``scipy.special`` stays a
-package-level import, so a run with a non-integer congestion exponent
-does not pay for it inside the run.
+sympy and scipy are paid for only by the code that uses them.  sympy loads
+when a manufactured solution is built, scipy's solvers only in the tests,
+and ``scipy.special`` only when a law with a non-integer exponent is built:
+its potential is the hypergeometric closed form, and building the law (in
+``parse_config``) rather than evaluating it loads the module, so a run never
+pays for the import inside the time stepping.  Each probe runs in a fresh
+interpreter.
 """
 
 import json
@@ -12,24 +15,63 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = r"""
 import json, sys, warnings
 import jamflow
 warnings.simplefilter("ignore", jamflow.SteepnessWarning)
-jamflow.parse_config("[scenario]\nname = traffic_1d\n")
+{body}
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("sympy", "scipy"))))
 """
 
 
-def test_import_and_parse_leave_sympy_and_scipy_solvers_unloaded():
+def loaded_after(body):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env,
-        timeout=120, check=True,
+        [sys.executable, "-c", PROBE.format(body=body)], capture_output=True, text=True,
+        env=env, timeout=120, check=True,
     )
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_and_parse_of_the_presets_load_neither_sympy_nor_scipy():
+    # every bundled preset has integer exponents, so no law needs hyp2f1
+    loaded = loaded_after(
+        "for name in ('traffic_1d', 'lane_narrowing_1d', 'pipe_1d', 'crowd_blob_2d'):\n"
+        "    jamflow.parse_config(f'[scenario]\\nname = {name}\\n')"
+    )
+    assert loaded == set()
+
+
+def test_manufactured_preset_loads_sympy_but_no_scipy():
+    # its preset carries the manufactured solution, built with sympy
+    loaded = loaded_after("jamflow.parse_config('[scenario]\\nname = manufactured_1d\\n')")
+    assert "sympy" in loaded
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        "jamflow.SingularLaw(1e-3, 2.5, 3.0)",
+        "jamflow.TruncatedLaw(1e-3, 2.5, 3.0, 1.0, 6.0, 0.1)",
+        "jamflow.SedimentationLaw(1.0, 2.5)",
+    ],
+    ids=["singular", "truncated", "sedimentation"],
+)
+def test_building_a_non_integer_exponent_law_loads_scipy_special(law):
+    loaded = loaded_after(law)
+    assert "scipy.special" in loaded
+    assert "sympy" not in loaded
+
+
+def test_parsing_a_fractional_config_loads_scipy_special():
+    loaded = loaded_after(
+        "jamflow.parse_config('[scenario]\\nname = traffic_1d\\n[pressure]\\nalpha = 2.5\\n')"
+    )
+    assert "scipy.special" in loaded
     for lazy in ("sympy", "scipy.optimize", "scipy.integrate"):
         assert lazy not in loaded, lazy
-    assert "scipy.special" in loaded

@@ -4,7 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +30,9 @@ TINY = (
     "[solver]\nt_end = 0.04\nsnapshot_every = 0.01\n"
     "[output]\nfields_every = 0.02\n"
 )
+
+# environment of a fresh interpreter that imports jamflow from this tree
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 CRASH = (
     "[scenario]\n"
@@ -174,6 +182,26 @@ class TestRunOnce:
         assert (res.out_dir / "diagnostics.csv").is_file()
         meta = json.loads((res.out_dir / "meta.json").read_text())
         assert meta["status"] == "solver_failure"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap thresholds")
+    def test_2d_steps_reuse_their_heap_memory(self):
+        # freed step temporaries stay on the heap: a 96x96 crowd run to
+        # t=0.01 takes ~600 minor page faults, against ~9500 when glibc
+        # returns the heap top after every step
+        probe = (
+            "import resource, warnings, jamflow\n"
+            "warnings.simplefilter('ignore')\n"
+            "cfg = jamflow.parse_config('[scenario]\\nname = crowd_blob_2d\\n"
+            "[solver]\\nt_end = 0.01\\n')\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "jamflow.run_once(cfg, write_artifacts=False, keep_states=False)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV,
+            timeout=120, check=True,
+        )
+        assert int(proc.stdout.split()[-1]) < 2000
 
 
 class TestRunSweep:
@@ -330,6 +358,30 @@ class TestCli:
             "manufactured_1d",
         ):
             assert name in out
+
+    def test_stiff_lane_fails_fast(self, tmp_path, capsys):
+        # at eps=1e-6 the explicit step halves below 1e-14 * t_end near
+        # t=0.114; the run ends there instead of creeping on with
+        # ever-smaller halved steps
+        text = "[scenario]\nname = lane_narrowing_1d\n[pressure]\neps = 1e-6\n"
+        start = time.perf_counter()
+        code = main(["run", self.write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 3
+        assert time.perf_counter() - start < 60.0
+        assert "underflowed after" in capsys.readouterr().err
+
+    def test_each_warning_is_printed_once(self, tmp_path):
+        # the preset law and the parsed law both warn about alpha = beta = 2,
+        # from two modules
+        proc = subprocess.run(
+            [sys.executable, "-m", "jamflow.cli", "check",
+             self.write(tmp_path, "[scenario]\nname = traffic_1d\n")],
+            capture_output=True, text=True, env=SRC_ENV, timeout=120,
+        )
+        assert proc.returncode == 0
+        warned = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
+        assert len(warned) == 1
+        assert "alpha=2.0, beta=2.0" in warned[0]
 
     def test_sweep_cli_round_trip(self, tmp_path):
         text = TINY + "[sweep]\nkind = eps\nvalues = 0.01, 0.001\n"

@@ -375,6 +375,28 @@ class TestAdvance:
         assert final.rho.tobytes() == solo.rho.tobytes()
         assert final.mom.tobytes() == solo.mom.tobytes()
 
+    def test_halving_stops_at_the_step_floor_for_that_member_alone(self):
+        # a state already past the barrier tolerance fails at every step
+        # size; halving ends once dt drops below 1e-14 * t_target, long
+        # before a large retry budget is spent, and a stacked sound member
+        # runs on exactly as alone
+        grid = Grid((1.0,), (40,))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        x = grid.centers(0)
+        good = make_state(grid, 0.4 + 0.1 * np.sin(2 * np.pi * x), np.zeros((1, 40)))
+        over = uniform_state(grid, rho=0.95)
+        cfg = SolverConfig(t_end=0.02, barrier_tol=0.09, max_substeps=200)
+        with pytest.raises(DegenerateState, match="underflowed after") as solo_error:
+            advance(over, 0.02, SOFT_LAW, FLUID, barrier, cfg)
+        solo = advance(good, 0.02, SOFT_LAW, FLUID, barrier, cfg)
+
+        final, error = advance([good, over], 0.02, [SOFT_LAW] * 2, FLUID, barrier, cfg)
+        assert isinstance(error, DegenerateState)
+        assert str(error) == str(solo_error.value)
+        assert final.t == solo.t == pytest.approx(0.02)
+        assert final.rho.tobytes() == solo.rho.tobytes()
+        assert final.mom.tobytes() == solo.mom.tobytes()
+
 
 class TestRatioTransport:
     def test_reduces_to_upwind_for_constant_barrier(self):
