@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     SpecError,
     StepFailure,
-    UnknownScenario,
     ValidationError,
 )
 from .pressure import (
@@ -54,13 +53,11 @@ from .diagnostics import (
 from .scenarios import (
     SCENARIO_NAMES,
     ManufacturedSolution,
-    Scenario,
-    make_scenario,
     manufactured_default,
     scenario_descriptions,
 )
 from .config import RunConfig, parse_config, parse_config_file, serialize_config
-from .runner import RunResult, __version__, run_once, run_sweep
+from .runner import RunResult, __version__, build_problem, run_once, run_sweep
 
 __all__ = [
     "BarrierField",
@@ -84,7 +81,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SCENARIO_NAMES",
-    "Scenario",
     "SedimentationLaw",
     "SingularLaw",
     "SolverConfig",
@@ -93,14 +89,13 @@ __all__ = [
     "StepFailure",
     "TanhStepBarrier",
     "TruncatedLaw",
-    "UnknownScenario",
     "ValidationError",
     "advance",
     "build_barrier",
+    "build_problem",
     "congested_divergence_report",
     "energy_budget",
     "energy_potential_floor",
-    "make_scenario",
     "make_state",
     "manufactured_default",
     "parse_config",

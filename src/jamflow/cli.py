@@ -27,7 +27,6 @@ from .errors import (
     ParameterError,
     ParseError,
     SpecError,
-    UnknownScenario,
     ValidationError,
 )
 from .runner import run_once, run_sweep, build_problem
@@ -160,7 +159,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.verb](args)
-    except (ValidationError, ParseError, UnknownScenario, SpecError, ParameterError) as exc:
+    except (ValidationError, ParseError, SpecError, ParameterError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except IoError as exc:

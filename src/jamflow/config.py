@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from .domain import Grid
 from .errors import IoError, ParameterError, ParseError, ValidationError
 from .pressure import LAW_KINDS, FluidParams
-from .scenarios import PROFILE_KINDS, FillFraction, InitialSpec, make_scenario, SCENARIO_NAMES
+from .scenarios import PRESETS, PROFILE_KINDS, FillFraction, InitialSpec, SCENARIO_NAMES
 from .solver import SolverConfig
 
 SECTION_ORDER = ("scenario", "grid", "barrier", "pressure", "fluid", "solver", "output", "sweep")
@@ -272,31 +272,6 @@ def _sections(cfg):
     return out
 
 
-@lru_cache(maxsize=None)
-def _preset(name):
-    """A bundled scenario as a RunConfig; presets are constants, so built once."""
-    scen = make_scenario(name)
-    return RunConfig(
-        scenario_name=name,
-        grid=scen.grid,
-        barrier=scen.barrier_spec,
-        initial=scen.initial_spec,
-        law=scen.law,
-        fluid=scen.fluid,
-        solver=SolverConfig(t_end=scen.t_end, snapshot_every=scen.snapshot_every),
-        out_dir=f"runs/{name}",
-        fields_every=0.0,
-        sweep=None,
-    )
-
-
-def _scenario_defaults(name):
-    return {
-        section: {k: _fmt(v) for k, v in items.items()}
-        for section, items in _sections(_preset(name)).items()
-    }
-
-
 def apply_overrides(raw, overrides, issues):
     for item in overrides:
         if "=" not in item:
@@ -312,9 +287,9 @@ def apply_overrides(raw, overrides, issues):
 
 
 def _prune_stale_shape_defaults(defaults, raw):
-    """Drop scenario-default shape keys that a user-chosen kind invalidates.
+    """Drop preset shape keys that a user-chosen kind invalidates.
 
-    Scenario defaults carry the shape parameters of their own profile and
+    Presets carry the shape parameters of their own profile and
     pressure kinds.  When a config switches the kind, parameters that do not
     carry over would otherwise linger and surface as unknown-key errors, so
     only the ones the new kind also accepts are kept.
@@ -361,7 +336,7 @@ def parse_config(text, overrides=()):
         )
         issues.raise_if_any()
 
-    defaults = _scenario_defaults(name) if name != "custom" else {}
+    defaults = _read_raw(PRESETS[name][1]) if name != "custom" else {}
     _prune_stale_shape_defaults(defaults, raw)
     merged = {}
     for section in set(defaults) | set(raw):

@@ -17,10 +17,6 @@ class SpecError(JamflowError):
     """A field profile description produced inadmissible values."""
 
 
-class UnknownScenario(JamflowError):
-    """Requested scenario name is not registered."""
-
-
 class NonFinite(JamflowError):
     """NaN or Inf appeared in an evolved field."""
 

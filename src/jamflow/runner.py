@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -127,7 +128,11 @@ def _write_meta(out_dir, cfg, result, extra=None):
 
 
 def build_problem(cfg):
-    """Materialize grid, barrier, initial data, and optional sources."""
+    """Materialize barrier, initial data, and optional sources of a config.
+
+    Returns ``(barrier, initial data, sources, manufactured solution)``;
+    the last two are None except for ``manufactured_1d``.
+    """
     barrier = build_barrier(cfg.barrier, cfg.grid)
     if cfg.scenario_name == "manufactured_1d":
         sol = manufactured_default(cfg.law, cfg.fluid, cfg.barrier)
@@ -174,16 +179,21 @@ def _prepare(cfg, out, started, keep_states, write_artifacts):
         return invalid(report.summary())
 
     state = make_state(cfg.grid, data.rho0, data.mom0)
-    next_field_tick = {"t": cfg.fields_every}
+    every = cfg.fields_every
+    next_field_tick = every
 
     def sink(s, record):
+        nonlocal next_field_tick
         result.records.append(record)
         if keep_states:
             result.states.append(s)
-        if write_artifacts and cfg.fields_every > 0 and s.t >= next_field_tick["t"] - 1e-12:
+        if write_artifacts and every > 0 and s.t >= next_field_tick - 1e-12:
             _write_snapshot(out, s, barrier)
-            while next_field_tick["t"] <= s.t + 1e-12:
-                next_field_tick["t"] += cfg.fields_every
+            # from the record time, as advance sets its snapshot ticks: a
+            # tick summed up from a tiny cadence stops moving.  Past 2**53
+            # laps the next tick is not resolved, so every record is one.
+            laps = s.t / every + 1e-9
+            next_field_tick = (math.floor(laps) + 1) * every if laps < 2.0**53 else s.t
 
     if write_artifacts:
         _write_snapshot(out, state, barrier, tag="initial")

@@ -1,6 +1,6 @@
-"""Built-in scenarios and manufactured solutions.
+"""Initial-data specs, manufactured solutions and the bundled presets.
 
-Scenario constants below were tuned once against the acceptance runs: the
+The preset constants below were tuned once against the acceptance runs: the
 gas exponent is deliberately high so the gas stays soft until the barrier
 takes over, and the steep-law exponents are at the shallow end so the jam
 structure reacts visibly across a stiffness sweep.
@@ -13,23 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
-    build_barrier,
     ConstantBarrier,
     GaussianBumpBarrier,
-    Grid,
     InitialData,
     PipeBarrier,
     profile_values,
     TanhStepBarrier,
 )
-from .errors import BarrierViolation, ParameterError, SpecError, UnknownScenario
-from .pressure import (
-    BarotropicLaw,
-    FluidParams,
-    SedimentationLaw,
-    SingularLaw,
-    TruncatedLaw,
-)
+from .errors import BarrierViolation, ParameterError, SpecError
+from .pressure import BarotropicLaw, SedimentationLaw, SingularLaw, TruncatedLaw
 
 
 @dataclass(frozen=True)
@@ -262,153 +254,147 @@ def manufactured_default(law, params, barrier_spec=None):
 
 
 # ---------------------------------------------------------------------------
-# scenario registry
+# bundled presets
+#
+# Each preset is config text that ``parse_config`` merges under the user's
+# sections.  It names only the keys that have no default or differ from it.
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    description: str
-    grid: Grid
-    barrier_spec: object
-    initial_spec: InitialSpec | None
-    law: object
-    fluid: FluidParams
-    t_end: float
-    snapshot_every: float = 0.01
-    manufactured: ManufacturedSolution | None = None
-
-    def barrier(self, grid=None):
-        return build_barrier(self.barrier_spec, grid or self.grid)
-
-    def initial_data(self, grid=None, barrier=None):
-        grid = grid or self.grid
-        if self.manufactured is not None:
-            return self.manufactured.initial_data(grid)
-        barrier = barrier or self.barrier(grid)
-        return build_initial(self.initial_spec, grid, barrier)
-
-
-def _with_cells(grid, cells):
-    if cells is None:
-        return grid
-    cells = tuple(int(n) for n in np.atleast_1d(cells))
-    if len(cells) != len(grid.cells):
-        raise ParameterError("cells override must match the scenario dimension")
-    return Grid(extents=grid.extents, cells=cells)
-
-
-def _traffic(cells):
+PRESETS = {
     # Stiff gas exponent keeps the free stream honest about the unit
-    # barrier: softer exponents let the pile absorb the ram load well
-    # below saturation and the jam never forms.  The fine snapshot
-    # cadence keeps time integrals of the recorded series accurate.
-    return Scenario(
-        name="traffic_1d",
-        description="rightward stream piles up against the right wall",
-        grid=_with_cells(Grid((1.0,), (200,)), cells),
-        barrier_spec=ConstantBarrier(1.0),
-        initial_spec=InitialSpec(
-            profile=GaussianBumpBarrier(base=0.3, amp=0.4, center=(0.3,), width=0.1),
-            velocity=(0.5,),
-        ),
-        law=SingularLaw(eps=1e-3, alpha=2.0, beta=2.0),
-        fluid=FluidParams(mu=2e-3, lam=0.0, gamma=60.0),
-        t_end=1.0,
-        snapshot_every=0.002,
-    )
-
-
-def _lane(cells):
-    return Scenario(
-        name="lane_narrowing_1d",
-        description="uniform stream meets a smooth drop in the maximal density",
-        grid=_with_cells(Grid((1.0,), (200,)), cells),
-        barrier_spec=TanhStepBarrier(left=1.0, right=0.6, center=0.5, width=0.05),
-        initial_spec=InitialSpec(profile=ConstantBarrier(0.5), velocity=(0.3,)),
-        law=SingularLaw(eps=1e-3, alpha=2.0, beta=2.0),
-        fluid=FluidParams(mu=5e-3, lam=0.0, gamma=8.0),
-        t_end=0.5,
-        snapshot_every=0.001,
-    )
-
-
-def _pipe(cells):
-    return Scenario(
-        name="pipe_1d",
-        description="nearly full channel squeezed through a cosine throat",
-        grid=_with_cells(Grid((1.0,), (200,)), cells),
-        barrier_spec=PipeBarrier(base=1.0, throat=0.8, center=0.5, halfwidth=0.2),
-        initial_spec=InitialSpec(profile=FillFraction(0.8), velocity=(0.3,)),
-        law=SingularLaw(eps=1e-3, alpha=2.0, beta=2.0),
-        # the stiffer gas exponent and extra viscosity keep the throat
-        # pocket from ringing antidissipatively once it saturates
-        fluid=FluidParams(mu=1e-2, lam=0.0, gamma=12.0),
-        t_end=0.5,
-        snapshot_every=0.001,
-    )
-
-
-def _crowd(cells):
-    # Blob and obstacle sit one blob-width apart and the drift is brisk,
-    # so the leading edge reaches the capacity dip early and saturates
-    # it well inside the short 2D horizon.
-    return Scenario(
-        name="crowd_blob_2d",
-        description="dense blob drifts into a region of reduced capacity",
-        grid=_with_cells(Grid((1.0, 1.0), (96, 96)), cells),
-        barrier_spec=GaussianBumpBarrier(
-            base=1.0, amp=-0.6, center=(0.6, 0.5), width=0.12
-        ),
-        initial_spec=InitialSpec(
-            profile=GaussianBumpBarrier(base=0.15, amp=0.5, center=(0.32, 0.5), width=0.12),
-            velocity=(1.0, 0.0),
-        ),
-        law=SingularLaw(eps=1e-3, alpha=2.0, beta=2.0),
-        fluid=FluidParams(mu=1e-2, lam=0.0, gamma=8.0),
-        t_end=0.3,
-        snapshot_every=0.001,
-    )
-
-
-def _manufactured(cells):
-    law = SingularLaw(eps=0.05, alpha=3.0, beta=3.0)
-    fluid = FluidParams(mu=0.02, lam=0.0, gamma=2.0)
-    barrier_spec = ConstantBarrier(1.0)
-    sol = manufactured_default(law, fluid, barrier_spec)
-    t_end = 0.2
-    sol.check_margin(t_end)
-    return Scenario(
-        name="manufactured_1d",
-        description="forced trigonometric fields for convergence measurement",
-        grid=_with_cells(Grid((1.0,), (200,)), cells),
-        barrier_spec=barrier_spec,
-        initial_spec=None,
-        law=law,
-        fluid=fluid,
-        t_end=t_end,
-        manufactured=sol,
-    )
-
-
-_BUILDERS = {
-    "traffic_1d": _traffic,
-    "lane_narrowing_1d": _lane,
-    "pipe_1d": _pipe,
-    "crowd_blob_2d": _crowd,
-    "manufactured_1d": _manufactured,
+    # barrier: softer exponents let the pile absorb the ram load well below
+    # saturation and the jam never forms.  The fine snapshot cadence keeps
+    # time integrals of the recorded series accurate.
+    "traffic_1d": ("rightward stream piles up against the right wall", """
+[scenario]
+initial_kind = gaussian_bump
+initial_base = 0.3
+initial_amp = 0.4
+initial_center = 0.3
+initial_width = 0.1
+velocity = 0.5
+[grid]
+cells = 200
+[barrier]
+kind = constant
+value = 1.0
+[pressure]
+kind = singular
+eps = 0.001
+alpha = 2.0
+beta = 2.0
+[fluid]
+mu = 0.002
+gamma = 60.0
+[solver]
+t_end = 1.0
+snapshot_every = 0.002
+"""),
+    "lane_narrowing_1d": ("uniform stream meets a smooth drop in the maximal density", """
+[scenario]
+initial_kind = constant
+initial_value = 0.5
+velocity = 0.3
+[grid]
+cells = 200
+[barrier]
+kind = tanh_step
+left = 1.0
+right = 0.6
+center = 0.5
+width = 0.05
+[pressure]
+kind = singular
+eps = 0.001
+alpha = 2.0
+beta = 2.0
+[fluid]
+mu = 0.005
+gamma = 8.0
+[solver]
+t_end = 0.5
+snapshot_every = 0.001
+"""),
+    # The stiffer gas exponent and extra viscosity keep the throat pocket
+    # from ringing antidissipatively once it saturates.
+    "pipe_1d": ("nearly full channel squeezed through a cosine throat", """
+[scenario]
+initial_kind = fill_fraction
+initial_fraction = 0.8
+velocity = 0.3
+[grid]
+cells = 200
+[barrier]
+kind = pipe_profile
+base = 1.0
+throat = 0.8
+center = 0.5
+halfwidth = 0.2
+[pressure]
+kind = singular
+eps = 0.001
+alpha = 2.0
+beta = 2.0
+[fluid]
+mu = 0.01
+gamma = 12.0
+[solver]
+t_end = 0.5
+snapshot_every = 0.001
+"""),
+    # Blob and obstacle sit one blob-width apart and the drift is brisk, so
+    # the leading edge reaches the capacity dip early and saturates it well
+    # inside the short 2D horizon.
+    "crowd_blob_2d": ("dense blob drifts into a region of reduced capacity", """
+[scenario]
+initial_kind = gaussian_bump
+initial_base = 0.15
+initial_amp = 0.5
+initial_center = 0.32, 0.5
+initial_width = 0.12
+velocity = 1.0, 0.0
+[grid]
+cells = 96, 96
+[barrier]
+kind = gaussian_bump
+base = 1.0
+amp = -0.6
+center = 0.6, 0.5
+width = 0.12
+[pressure]
+kind = singular
+eps = 0.001
+alpha = 2.0
+beta = 2.0
+[fluid]
+mu = 0.01
+gamma = 8.0
+[solver]
+t_end = 0.3
+snapshot_every = 0.001
+"""),
+    # initial data and sources come from the manufactured solution, which
+    # ``runner.build_problem`` builds from these sections
+    "manufactured_1d": ("forced trigonometric fields for convergence measurement", """
+[grid]
+cells = 200
+[barrier]
+kind = constant
+value = 1.0
+[pressure]
+kind = singular
+eps = 0.05
+alpha = 3.0
+beta = 3.0
+[fluid]
+mu = 0.02
+gamma = 2.0
+[solver]
+t_end = 0.2
+"""),
 }
 
-SCENARIO_NAMES = tuple(_BUILDERS)
-
-
-def make_scenario(name, cells=None):
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        known = ", ".join(SCENARIO_NAMES)
-        raise UnknownScenario(f"unknown scenario {name!r}; known: {known}") from None
-    return builder(cells)
+SCENARIO_NAMES = tuple(PRESETS)
 
 
 def scenario_descriptions():
-    return {name: _BUILDERS[name](None).description for name in SCENARIO_NAMES}
+    return {name: desc for name, (desc, _) in PRESETS.items()}

@@ -21,9 +21,8 @@ from jamflow.cli import main
 from jamflow.config import parse_config
 from jamflow.domain import make_state
 from jamflow.pressure import SingularLaw, SteepnessWarning, TruncatedLaw
-from jamflow.runner import run_once, run_sweep
-from jamflow.scenarios import make_scenario
-from jamflow.solver import SolverConfig, track_ratio_transport
+from jamflow.runner import build_problem, run_once, run_sweep
+from jamflow.solver import track_ratio_transport
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 ALL_SCENARIOS = (
@@ -130,12 +129,12 @@ def manufactured_errors():
         )
         res = quietly(run_once, cfg, write_artifacts=False, keep_states=False)
         assert res.status == "ok", res.error
-        scen = quietly(make_scenario, "manufactured_1d", cells=(n,))
-        x = scen.grid.centers(0)
-        dx = scen.grid.dx[0]
+        _, _, _, sol = build_problem(cfg)
+        x = cfg.grid.centers(0)
+        dx = cfg.grid.dx[0]
         st = res.final_state
-        e_rho = float(np.sum(np.abs(st.rho_interior - scen.manufactured.density(st.t, x))) * dx)
-        e_mom = float(np.sum(np.abs(st.mom_interior[0] - scen.manufactured.momentum(st.t, x))) * dx)
+        e_rho = float(np.sum(np.abs(st.rho_interior - sol.density(st.t, x))) * dx)
+        e_mom = float(np.sum(np.abs(st.mom_interior[0] - sol.momentum(st.t, x))) * dx)
         errs[n] = (e_rho, e_mom)
     return errs
 
@@ -305,16 +304,16 @@ def test_criterion_08_pressure_oracles():
 def test_criterion_09_ratio_transport_consistency():
     gaps = {}
     for n in (100, 200):
-        scen = quietly(make_scenario, "lane_narrowing_1d", cells=(n,))
-        barrier = scen.barrier()
-        data = scen.initial_data(barrier=barrier)
-        state = make_state(scen.grid, data.rho0, data.mom0)
-        cfg = SolverConfig(t_end=scen.t_end, snapshot_every=scen.snapshot_every)
+        cfg = quietly(
+            parse_config, f"[scenario]\nname = lane_narrowing_1d\n[grid]\ncells = {n}\n"
+        )
+        barrier, data, _, _ = build_problem(cfg)
+        state = make_state(cfg.grid, data.rho0, data.mom0)
         final, ratio_adv = quietly(
             track_ratio_transport,
-            state, scen.t_end, scen.law, scen.fluid, barrier, cfg,
+            state, cfg.solver.t_end, cfg.law, cfg.fluid, barrier, cfg.solver,
         )
-        dx = scen.grid.dx[0]
+        dx = cfg.grid.dx[0]
         gaps[n] = float(
             np.sum(np.abs(ratio_adv - final.rho_interior / barrier.interior)) * dx
         )

@@ -1,12 +1,12 @@
 """What importing the package, parsing a config and building a law load.
 
 sympy and scipy are paid for only by the code that uses them.  sympy loads
-when a manufactured solution is built, scipy's solvers only in the tests,
-and ``scipy.special`` only when a law with a non-integer exponent is built:
-its potential is the hypergeometric closed form, and building the law (in
-``parse_config``) rather than evaluating it loads the module, so a run never
-pays for the import inside the time stepping.  Each probe runs in a fresh
-interpreter.
+when a manufactured solution is built (in ``build_problem``, not when its
+preset is parsed), scipy's solvers only in the tests, and ``scipy.special``
+only when a law with a non-integer exponent is built: its potential is the
+hypergeometric closed form, and building the law (in ``parse_config``)
+rather than evaluating it loads the module, so a run never pays for the
+import inside the time stepping.  Each probe runs in a fresh interpreter.
 """
 
 import json
@@ -46,11 +46,23 @@ def test_import_and_parse_of_the_presets_load_neither_sympy_nor_scipy():
     assert loaded == set()
 
 
-def test_manufactured_preset_loads_sympy_but_no_scipy():
-    # its preset carries the manufactured solution, built with sympy
+def test_parsing_manufactured_1d_loads_neither_sympy_nor_scipy():
+    # a preset is config text; the manufactured solution is not part of it
     loaded = loaded_after("jamflow.parse_config('[scenario]\\nname = manufactured_1d\\n')")
+    assert loaded == set()
+
+
+def test_building_the_manufactured_problem_loads_sympy_but_no_scipy():
+    loaded = loaded_after(
+        "jamflow.build_problem(jamflow.parse_config('[scenario]\\nname = manufactured_1d\\n'))"
+    )
     assert "sympy" in loaded
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def test_listing_the_scenarios_loads_neither_sympy_nor_scipy():
+    loaded = loaded_after("jamflow.scenario_descriptions()")
+    assert loaded == set()
 
 
 @pytest.mark.parametrize(

@@ -370,18 +370,53 @@ class TestCli:
         assert time.perf_counter() - start < 60.0
         assert "underflowed after" in capsys.readouterr().err
 
-    def test_each_warning_is_printed_once(self, tmp_path):
-        # the preset law and the parsed law both warn about alpha = beta = 2,
-        # from two modules
-        proc = subprocess.run(
-            [sys.executable, "-m", "jamflow.cli", "check",
-             self.write(tmp_path, "[scenario]\nname = traffic_1d\n")],
-            capture_output=True, text=True, env=SRC_ENV, timeout=120,
+    def cli(self, *args, timeout=120):
+        """Run the CLI entry point in a fresh interpreter."""
+        return subprocess.run(
+            [sys.executable, "-m", "jamflow.cli", *args],
+            capture_output=True, text=True, env=SRC_ENV, timeout=timeout,
         )
+
+    def test_each_warning_is_printed_once(self, tmp_path):
+        # the parsed law warns about alpha = beta = 2; the warning shows as
+        # one line, without its source location
+        proc = self.cli("check", self.write(tmp_path, "[scenario]\nname = traffic_1d\n"))
         assert proc.returncode == 0
         warned = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
         assert len(warned) == 1
         assert "alpha=2.0, beta=2.0" in warned[0]
+
+    def test_check_warns_only_about_the_law_that_runs(self, tmp_path):
+        # the preset's alpha = 2.0 law is overridden, so it is never built
+        text = "[scenario]\nname = traffic_1d\n[pressure]\nalpha = 2.5\n"
+        proc = self.cli("check", self.write(tmp_path, text))
+        assert proc.returncode == 0
+        warned = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
+        assert len(warned) == 1
+        assert "alpha=2.5" in warned[0]
+
+    def test_scenarios_writes_nothing_to_stderr(self):
+        proc = self.cli("scenarios")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 5
+
+    @pytest.mark.parametrize("every", ["1e-20", "1e-320"])
+    def test_tiny_fields_cadence_does_not_spin(self, tmp_path, every):
+        # a tick advanced by repeated addition of 1e-20 stops moving at
+        # t ~ 1e-4, and t / 1e-320 overflows; the run must still end,
+        # writing a field dump per record
+        text = (
+            "[scenario]\nname = traffic_1d\n[grid]\ncells = 20\n"
+            f"[solver]\nt_end = 0.004\n[output]\nfields_every = {every}\n"
+        )
+        out = tmp_path / "out"
+        proc = self.cli("run", self.write(tmp_path, text), "--out", str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "status=ok" in proc.stdout
+        records = len((out / "diagnostics.csv").read_text().splitlines()) - 1
+        snaps = list((out / "snapshots").glob("state_t*.csv"))
+        assert len(snaps) == records
 
     def test_sweep_cli_round_trip(self, tmp_path):
         text = TINY + "[sweep]\nkind = eps\nvalues = 0.01, 0.001\n"

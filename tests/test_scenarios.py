@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from jamflow.config import parse_config
 from jamflow.domain import (
     ConstantBarrier,
     GaussianBumpBarrier,
@@ -29,9 +30,10 @@ from jamflow.errors import (
     BarrierViolation,
     ParameterError,
     SpecError,
-    UnknownScenario,
+    ValidationError,
 )
 from jamflow.pressure import FluidParams, SingularLaw, SteepnessWarning
+from jamflow.runner import build_problem
 from jamflow.scenarios import (
     MANUFACTURED_DENSITY,
     MANUFACTURED_VELOCITY,
@@ -40,7 +42,6 @@ from jamflow.scenarios import (
     InitialSpec,
     ManufacturedSolution,
     build_initial,
-    make_scenario,
     manufactured_default,
     manufactured_sources,
     scenario_descriptions,
@@ -53,6 +54,12 @@ def quietly(fn, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SteepnessWarning)
         return fn(*args, **kwargs)
+
+
+def preset(name, cells=None):
+    """The named preset's config, on ``cells`` when given."""
+    grid = f"[grid]\ncells = {cells}\n" if cells else ""
+    return quietly(parse_config, f"[scenario]\nname = {name}\n{grid}")
 
 
 MLAW = SingularLaw(0.05, 3.0, 3.0)
@@ -70,8 +77,8 @@ class TestRegistry:
         }
 
     def test_unknown_scenario_lists_names(self):
-        with pytest.raises(UnknownScenario, match="traffic_1d"):
-            make_scenario("warp_drive")
+        with pytest.raises(ValidationError, match="known: traffic_1d, "):
+            parse_config("[scenario]\nname = warp_drive\n")
 
     def test_descriptions_are_informative(self):
         descs = scenario_descriptions()
@@ -80,27 +87,21 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_every_initial_state_is_admissible(self, name):
-        scen = quietly(make_scenario, name)
-        barrier = scen.barrier()
-        data = scen.initial_data(barrier=barrier)
+        barrier, data, _, _ = build_problem(preset(name))
         report = validate_initial(data, barrier)
         assert report.ok, report.summary()
 
     def test_cells_override(self):
-        scen = quietly(make_scenario, "traffic_1d", cells=(64,))
+        scen = preset("traffic_1d", "64")
         assert scen.grid.cells == (64,)
-        scen2 = quietly(make_scenario, "crowd_blob_2d", cells=(32, 48))
+        scen2 = preset("crowd_blob_2d", "32, 48")
         assert scen2.grid.cells == (32, 48)
-
-    def test_cells_override_must_match_dimension(self):
-        with pytest.raises(ParameterError):
-            quietly(make_scenario, "traffic_1d", cells=(32, 32))
 
     def test_traffic_mass_matches_analytic_oracle(self):
         # integral of base + amp * exp(-((x-c)/w)^2) over [0, 1] via erf
-        scen = quietly(make_scenario, "traffic_1d")
-        data = scen.initial_data()
-        prof = scen.initial_spec.profile
+        scen = preset("traffic_1d")
+        _, data, _, _ = build_problem(scen)
+        prof = scen.initial.profile
         w, c = prof.width, prof.center[0]
         exact = prof.base + prof.amp * w * np.sqrt(np.pi) / 2.0 * (
             erf((1.0 - c) / w) + erf(c / w)
@@ -109,9 +110,7 @@ class TestRegistry:
         assert sampled == pytest.approx(exact, rel=1e-6)
 
     def test_pipe_fills_a_fraction_of_its_barrier(self):
-        scen = quietly(make_scenario, "pipe_1d")
-        barrier = scen.barrier()
-        data = scen.initial_data(barrier=barrier)
+        barrier, data, _, _ = build_problem(preset("pipe_1d"))
         np.testing.assert_allclose(data.rho0 / barrier.interior, 0.8, rtol=1e-13)
 
 
@@ -289,8 +288,8 @@ class TestManufacturedSolution:
         assert sources[0] == sources[1]
 
     def test_scenario_wires_manufactured_initial_data(self):
-        scen = make_scenario("manufactured_1d", cells=(32,))
-        data = scen.initial_data()
+        scen = preset("manufactured_1d", "32")
+        _, data, _, _ = build_problem(scen)
         x = scen.grid.centers(0)
         np.testing.assert_allclose(
             data.rho0, 0.5 + 0.2 * np.sin(2 * np.pi * x), rtol=1e-12
