@@ -53,7 +53,6 @@ from .diagnostics import (
 from .scenarios import (
     SCENARIO_NAMES,
     ManufacturedSolution,
-    manufactured_default,
     scenario_descriptions,
 )
 from .config import RunConfig, parse_config, parse_config_file, serialize_config
@@ -97,7 +96,6 @@ __all__ = [
     "energy_budget",
     "energy_potential_floor",
     "make_state",
-    "manufactured_default",
     "parse_config",
     "parse_config_file",
     "ratio_law",

@@ -181,7 +181,9 @@ def entry():
             shown.add(key)
             print(f"warning: {message}", file=sys.stderr)
 
-    warnings.simplefilter("always")
+    # a -W option or PYTHONWARNINGS has the last word
+    if not sys.warnoptions:
+        warnings.simplefilter("always")
     warnings.showwarning = print_warning
     sys.exit(main())
 

@@ -65,6 +65,15 @@ def energy(state, law, params, barrier):
     return float(kinetic), float(internal), float(stored)
 
 
+def _centered_diff(a, axis, grid):
+    """Centered difference of a ghosted scalar along ``axis``, on interior cells."""
+    hi = [slice(1, -1)] * grid.dim
+    lo = [slice(1, -1)] * grid.dim
+    hi[axis] = slice(2, None)
+    lo[axis] = slice(None, -2)
+    return (a[tuple(hi)] - a[tuple(lo)]) / (2.0 * grid.dx[axis])
+
+
 def dissipation_rate(state, params, floor=0.0):
     """Instantaneous viscous dissipation 2*mu*|D(u)|**2 + lam*(div u)**2.
 
@@ -77,11 +86,7 @@ def dissipation_rate(state, params, floor=0.0):
     grads = np.empty((dim, dim) + grid.shape)
     for comp in range(dim):
         for ax in range(dim):
-            hi = [slice(1, -1)] * dim
-            lo = [slice(1, -1)] * dim
-            hi[ax] = slice(2, None)
-            lo[ax] = slice(None, -2)
-            grads[comp, ax] = (u[comp][tuple(hi)] - u[comp][tuple(lo)]) / (2.0 * grid.dx[ax])
+            grads[comp, ax] = _centered_diff(u[comp], ax, grid)
     sym = 0.5 * (grads + np.swapaxes(grads, 0, 1))
     div = np.trace(grads, axis1=0, axis2=1)
     density = 2.0 * params.mu * np.sum(sym**2, axis=(0, 1)) + params.lam * div**2
@@ -108,11 +113,7 @@ def div_barrier_velocity(state, barrier, floor=0.0):
     q = barrier.values * state.velocity(floor)
     out = np.zeros(grid.shape)
     for ax in range(dim):
-        hi = [slice(1, -1)] * dim
-        lo = [slice(1, -1)] * dim
-        hi[ax] = slice(2, None)
-        lo[ax] = slice(None, -2)
-        out += (q[ax][tuple(hi)] - q[ax][tuple(lo)]) / (2.0 * grid.dx[ax])
+        out += _centered_diff(q[ax], ax, grid)
     return out
 
 

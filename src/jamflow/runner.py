@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -25,8 +24,8 @@ from .errors import (
     StepFailure,
     ValidationError,
 )
-from .scenarios import build_initial, manufactured_default
-from .solver import advance
+from .scenarios import ManufacturedSolution, build_initial
+from .solver import advance, next_tick
 
 from pathlib import Path
 
@@ -135,7 +134,7 @@ def build_problem(cfg):
     """
     barrier = build_barrier(cfg.barrier, cfg.grid)
     if cfg.scenario_name == "manufactured_1d":
-        sol = manufactured_default(cfg.law, cfg.fluid, cfg.barrier)
+        sol = ManufacturedSolution(cfg.law, cfg.fluid, cfg.barrier)
         sol.check_margin(cfg.solver.t_end, extent=cfg.grid.extents[0])
         data = sol.initial_data(cfg.grid)
         sources = sol.sources_for(cfg.grid)
@@ -189,11 +188,7 @@ def _prepare(cfg, out, started, keep_states, write_artifacts):
             result.states.append(s)
         if write_artifacts and every > 0 and s.t >= next_field_tick - 1e-12:
             _write_snapshot(out, s, barrier)
-            # from the record time, as advance sets its snapshot ticks: a
-            # tick summed up from a tiny cadence stops moving.  Past 2**53
-            # laps the next tick is not resolved, so every record is one.
-            laps = s.t / every + 1e-9
-            next_field_tick = (math.floor(laps) + 1) * every if laps < 2.0**53 else s.t
+            next_field_tick = next_tick(s.t, 0.0, every)
 
     if write_artifacts:
         _write_snapshot(out, state, barrier, tag="initial")

@@ -510,6 +510,20 @@ def _no_admissible_step(cfg, t, cause):
     return exc
 
 
+def next_tick(t, t0, every):
+    """The first tick ``t0 + n * every`` (n whole) past time ``t``.
+
+    Counted from ``t0`` rather than summed up tick by tick, so a tiny
+    cadence still moves.  Past 2**53 laps, or when a subnormal cadence
+    overflows the lap count, the next tick is not resolved and ``t`` itself
+    is returned: every later time is a tick.
+    """
+    laps = (t - t0) / every + 1e-9
+    if not laps < 2.0**53:
+        return t
+    return t0 + (math.floor(laps) + 1) * every
+
+
 def advance(
     state,
     t_target,
@@ -569,7 +583,7 @@ def advance(
     for m in range(n):
         emit(m, state[m])
     last_emit = list(t)
-    next_tick = [t0_m + tick for t0_m in t0]
+    ticks = [t0_m + tick for t0_m in t0]
     live = list(range(n))  # member ids, by position in the group
     while True:
         done = [
@@ -639,11 +653,10 @@ def advance(
             if hooks[m] is not None:
                 prev = FlowState(ts[p], prev_rho[p], prev_mom[p], group.grid)
                 hooks[m](prev, group.current(p, t[m]), dts[p])
-            if t[m] >= next_tick[m] - t_eps:
+            if t[m] >= ticks[m] - t_eps:
                 emit(m, group.current(p, t[m]))
                 last_emit[m] = t[m]
-                laps = int(np.floor((t[m] - t0[m]) / tick + 1e-9))
-                next_tick[m] = t0[m] + (laps + 1) * tick
+                ticks[m] = next_tick(t[m], t0[m], tick)
 
 
 def step_ratio(ratio, velocity, dt, barrier):

@@ -1,12 +1,13 @@
 """What importing the package, parsing a config and building a law load.
 
-sympy and scipy are paid for only by the code that uses them.  sympy loads
-when a manufactured solution is built (in ``build_problem``, not when its
-preset is parsed), scipy's solvers only in the tests, and ``scipy.special``
-only when a law with a non-integer exponent is built: its potential is the
-hypergeometric closed form, and building the law (in ``parse_config``)
-rather than evaluating it loads the module, so a run never pays for the
-import inside the time stepping.  Each probe runs in a fresh interpreter.
+jamflow never imports sympy: the manufactured forcing is written out in
+closed form, and a manufactured run works with sympy blocked.  scipy is
+paid for only by the code that uses it: its solvers only in the tests, and
+``scipy.special`` only when a law with a non-integer exponent is built: its
+potential is the hypergeometric closed form, and building the law (in
+``parse_config``) rather than evaluating it loads the module, so a run
+never pays for the import inside the time stepping.  Each probe runs in a
+fresh interpreter.
 """
 
 import json
@@ -28,12 +29,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("sympy", "
 """
 
 
-def loaded_after(body):
+def run_probe(script):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body)], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
         env=env, timeout=120, check=True,
     )
+
+
+def loaded_after(body):
+    proc = run_probe(PROBE.format(body=body))
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -52,12 +57,27 @@ def test_parsing_manufactured_1d_loads_neither_sympy_nor_scipy():
     assert loaded == set()
 
 
-def test_building_the_manufactured_problem_loads_sympy_but_no_scipy():
+def test_building_the_manufactured_problem_loads_neither_sympy_nor_scipy():
     loaded = loaded_after(
         "jamflow.build_problem(jamflow.parse_config('[scenario]\\nname = manufactured_1d\\n'))"
     )
-    assert "sympy" in loaded
-    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+    assert loaded == set()
+
+
+def test_a_manufactured_run_works_with_sympy_blocked():
+    # a None entry in sys.modules makes every ``import sympy`` raise
+    proc = run_probe(
+        "import sys, warnings\n"
+        "sys.modules['sympy'] = None\n"
+        "import jamflow\n"
+        "warnings.simplefilter('ignore', jamflow.SteepnessWarning)\n"
+        "cfg = jamflow.parse_config('[scenario]\\nname = manufactured_1d\\n'\n"
+        "                           '[grid]\\ncells = 50\\n[solver]\\nt_end = 0.01\\n')\n"
+        "jamflow.build_problem(cfg)\n"
+        "result = jamflow.run_once(cfg, write_artifacts=False)\n"
+        "print(result.status, result.records[-1].t)\n"
+    )
+    assert proc.stdout.split() == ["ok", "0.01"]
 
 
 def test_listing_the_scenarios_loads_neither_sympy_nor_scipy():

@@ -370,11 +370,14 @@ class TestCli:
         assert time.perf_counter() - start < 60.0
         assert "underflowed after" in capsys.readouterr().err
 
-    def cli(self, *args, timeout=120):
-        """Run the CLI entry point in a fresh interpreter."""
+    def cli(self, *args, timeout=120, flags=(), env=SRC_ENV):
+        """Run the CLI entry point in a fresh interpreter.
+
+        ``flags`` go to the interpreter, ahead of ``-m``.
+        """
         return subprocess.run(
-            [sys.executable, "-m", "jamflow.cli", *args],
-            capture_output=True, text=True, env=SRC_ENV, timeout=timeout,
+            [sys.executable, *flags, "-m", "jamflow.cli", *args],
+            capture_output=True, text=True, env=env, timeout=timeout,
         )
 
     def test_each_warning_is_printed_once(self, tmp_path):
@@ -385,6 +388,20 @@ class TestCli:
         warned = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
         assert len(warned) == 1
         assert "alpha=2.0, beta=2.0" in warned[0]
+
+    @pytest.mark.parametrize(
+        "flags, env",
+        [(("-W", "ignore"), SRC_ENV), ((), {**SRC_ENV, "PYTHONWARNINGS": "ignore"})],
+        ids=["W-ignore", "PYTHONWARNINGS-ignore"],
+    )
+    def test_warning_options_silence_the_cli(self, tmp_path, flags, env):
+        # the same check as test_each_warning_is_printed_once, which prints one
+        proc = self.cli(
+            "check", self.write(tmp_path, "[scenario]\nname = traffic_1d\n"),
+            flags=flags, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "warning:" not in proc.stderr
 
     def test_check_warns_only_about_the_law_that_runs(self, tmp_path):
         # the preset's alpha = 2.0 law is overridden, so it is never built
@@ -417,6 +434,17 @@ class TestCli:
         records = len((out / "diagnostics.csv").read_text().splitlines()) - 1
         snaps = list((out / "snapshots").glob("state_t*.csv"))
         assert len(snaps) == records
+
+    def test_subnormal_snapshot_cadence_runs(self, tmp_path):
+        # t / 1e-320 overflows the lap count; every record is then a tick
+        text = (
+            "[scenario]\nname = traffic_1d\n[grid]\ncells = 20\n"
+            "[solver]\nt_end = 0.004\nsnapshot_every = 1e-320\n"
+        )
+        proc = self.cli("run", self.write(tmp_path, text), "--out", str(tmp_path / "out"),
+                        timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "status=ok t=0.004" in proc.stdout
 
     def test_sweep_cli_round_trip(self, tmp_path):
         text = TINY + "[sweep]\nkind = eps\nvalues = 0.01, 0.001\n"

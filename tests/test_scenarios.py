@@ -1,12 +1,11 @@
 """Bundled scenarios and manufactured solutions.
 
 The manufactured-source checks rebuild every term of the balance laws
-inside the test with plain finite differences, so the sympy-derived
-forcing is validated against an implementation that shares no code with
-it.
+inside the test with plain finite differences, and the barrier from a
+formula written in the test, so the closed-form forcing is validated
+against an implementation that shares no code with it.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from scipy.special import erf
 from jamflow.config import parse_config
 from jamflow.domain import (
     ConstantBarrier,
-    GaussianBumpBarrier,
     Grid,
     TanhStepBarrier,
     build_barrier,
@@ -35,15 +33,11 @@ from jamflow.errors import (
 from jamflow.pressure import FluidParams, SingularLaw, SteepnessWarning
 from jamflow.runner import build_problem
 from jamflow.scenarios import (
-    MANUFACTURED_DENSITY,
-    MANUFACTURED_VELOCITY,
     SCENARIO_NAMES,
     FillFraction,
     InitialSpec,
     ManufacturedSolution,
     build_initial,
-    manufactured_default,
-    manufactured_sources,
     scenario_descriptions,
 )
 
@@ -137,15 +131,14 @@ class TestInitialSpecs:
         np.testing.assert_allclose(data.mom0[1], 0.5 * -0.1, rtol=1e-14)
 
 
-class TestManufacturedSolution:
-    def test_constant_fields_need_no_forcing(self):
-        sol = ManufacturedSolution("0.7", "0.2", MLAW, MFLUID, ConstantBarrier(1.0))
-        x = np.linspace(0.05, 0.95, 11)
-        np.testing.assert_allclose(sol.mass_source(0.3, x), 0.0, atol=1e-12)
-        np.testing.assert_allclose(sol.momentum_source(0.3, x), 0.0, atol=1e-12)
+def tanh_step(x):
+    """TanhStepBarrier(1.0, 0.9, 0.5, 0.1), written out."""
+    return 1.0 - 0.1 * (1.0 + np.tanh((x - 0.5) / 0.1)) / 2.0
 
+
+class TestManufacturedSolution:
     def test_field_evaluation_matches_expressions(self):
-        sol = manufactured_default(MLAW, MFLUID, ConstantBarrier(1.0))
+        sol = ManufacturedSolution(MLAW, MFLUID, ConstantBarrier(1.0))
         t, x = 0.3, 0.25
         rho = 0.5 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)
         u = 0.1 * np.sin(2 * np.pi * x)
@@ -153,9 +146,16 @@ class TestManufacturedSolution:
         assert sol.velocity(t, x) == pytest.approx(u, rel=1e-14)
         assert sol.momentum(t, x) == pytest.approx(rho * u, rel=1e-14)
 
-    def test_sources_match_finite_difference_oracle(self):
-        barrier_value = 1.0
-        sol = manufactured_default(MLAW, MFLUID, ConstantBarrier(barrier_value))
+    @pytest.mark.parametrize(
+        "spec, bar_fn",
+        [
+            (ConstantBarrier(1.0), lambda x: 1.0),
+            (TanhStepBarrier(1.0, 0.9, 0.5, 0.1), tanh_step),
+        ],
+        ids=["constant", "tanh_step"],
+    )
+    def test_sources_match_finite_difference_oracle(self, spec, bar_fn):
+        sol = ManufacturedSolution(MLAW, MFLUID, spec)
 
         def rho_fn(t, x):
             return 0.5 + 0.2 * np.sin(2 * np.pi * x) * np.cos(t)
@@ -172,7 +172,7 @@ class TestManufacturedSolution:
             return rho * u * u + rho**MFLUID.gamma
 
         h = 1e-6
-        for (t, x) in [(0.3, 0.25), (0.15, 0.6), (0.0, 0.4)]:
+        for (t, x) in [(0.3, 0.25), (0.15, 0.6), (0.0, 0.4), (0.1, 0.52)]:
             d_rho_t = (rho_fn(t + h, x) - rho_fn(t - h, x)) / (2 * h)
             d_rhou_x = (
                 rho_fn(t, x + h) * u_fn(t, x + h) - rho_fn(t, x - h) * u_fn(t, x - h)
@@ -185,14 +185,14 @@ class TestManufacturedSolution:
             ) / (2 * h)
             d_flux_x = (mom_flux(t, x + h) - mom_flux(t, x - h)) / (2 * h)
             d_pi_x = (
-                pi_fn(rho_fn(t, x + h) / barrier_value)
-                - pi_fn(rho_fn(t, x - h) / barrier_value)
+                pi_fn(rho_fn(t, x + h) / bar_fn(x + h))
+                - pi_fn(rho_fn(t, x - h) / bar_fn(x - h))
             ) / (2 * h)
             d2u = (u_fn(t, x + h) - 2 * u_fn(t, x) + u_fn(t, x - h)) / h**2
             expected_mom = (
                 d_mom_t
                 + d_flux_x
-                + barrier_value * d_pi_x
+                + bar_fn(x) * d_pi_x
                 - (2 * MFLUID.mu + MFLUID.lam) * d2u
             )
             assert sol.momentum_source(t, x) == pytest.approx(expected_mom, rel=1e-5, abs=1e-9)
@@ -204,9 +204,9 @@ class TestManufacturedSolution:
         t = 0.3
         law1 = SingularLaw(0.05, 3.0, 3.0)
         law2 = SingularLaw(0.10, 3.0, 3.0)
-        s1 = manufactured_default(law1, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
-        s2 = manufactured_default(law2, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
-        s0 = manufactured_default(None, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
+        s1 = ManufacturedSolution(law1, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
+        s2 = ManufacturedSolution(law2, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
+        s0 = ManufacturedSolution(None, MFLUID, ConstantBarrier(1.0)).momentum_source(t, x)
         np.testing.assert_allclose(s2 - 2.0 * s1 + s0, 0.0, atol=1e-12)
 
     def test_dropping_the_law_removes_congestion_forcing(self):
@@ -214,46 +214,25 @@ class TestManufacturedSolution:
         # the profile peaks and the congestion gradient legitimately
         # vanishes)
         x = np.array([0.4])
-        s_with = manufactured_default(MLAW, MFLUID, ConstantBarrier(1.0))
-        s_without = manufactured_default(None, MFLUID, ConstantBarrier(1.0))
+        s_with = ManufacturedSolution(MLAW, MFLUID, ConstantBarrier(1.0))
+        s_without = ManufacturedSolution(None, MFLUID, ConstantBarrier(1.0))
         gap = s_with.momentum_source(0.3, x) - s_without.momentum_source(0.3, x)
         assert abs(gap[0]) > 1e-4  # the congestion term genuinely contributes
 
     def test_margin_check_passes_for_pinned_pair(self):
-        sol = manufactured_default(MLAW, MFLUID, ConstantBarrier(1.0))
+        sol = ManufacturedSolution(MLAW, MFLUID, ConstantBarrier(1.0))
         worst = sol.check_margin(0.2)
         assert worst == pytest.approx(0.7, abs=1e-6)
 
     def test_margin_check_rejects_saturating_fields(self):
-        sol = ManufacturedSolution(
-            "0.9 + 0.05*sin(2*pi*x)", "0.1*sin(2*pi*x)", MLAW, MFLUID, ConstantBarrier(1.0)
-        )
-        with pytest.raises(BarrierViolation):
+        # the pinned pair peaks at density 0.7, ratio 0.875 under 0.8
+        sol = ManufacturedSolution(MLAW, MFLUID, ConstantBarrier(0.8))
+        with pytest.raises(BarrierViolation, match="ratio 0.875 > 0.8"):
             sol.check_margin(0.2)
-
-    def test_manufactured_sources_entry_point_guards_margin(self):
-        with pytest.raises(BarrierViolation):
-            manufactured_sources(
-                "0.95", "0.1", MLAW, MFLUID, ConstantBarrier(1.0), 0.0, np.array([0.5])
-            )
-        s_rho, s_mom = manufactured_sources(
-            MANUFACTURED_DENSITY, MANUFACTURED_VELOCITY, MLAW, MFLUID,
-            ConstantBarrier(1.0), 0.0, np.array([0.25, 0.5]),
-        )
-        assert s_rho.shape == (2,) and s_mom.shape == (2,)
-
-    def test_variable_barrier_sources_are_finite(self):
-        spec = TanhStepBarrier(1.0, 0.7, 0.5, 0.1)
-        sol = ManufacturedSolution(
-            "0.4 + 0.1*sin(2*pi*x)*cos(t)", "0.05*sin(2*pi*x)", MLAW, MFLUID, spec
-        )
-        x = np.linspace(0.05, 0.95, 33)
-        assert np.all(np.isfinite(sol.mass_source(0.1, x)))
-        assert np.all(np.isfinite(sol.momentum_source(0.1, x)))
 
     def test_initial_data_and_sources_have_grid_shapes(self):
         grid = Grid((1.0,), (48,))
-        sol = manufactured_default(MLAW, MFLUID, ConstantBarrier(1.0))
+        sol = ManufacturedSolution(MLAW, MFLUID, ConstantBarrier(1.0))
         data = sol.initial_data(grid)
         assert data.rho0.shape == (48,)
         assert data.mom0.shape == (1, 48)
@@ -262,19 +241,21 @@ class TestManufacturedSolution:
         assert s_rho.shape == (48,)
         assert s_mom.shape == (1, 48)
 
-    def test_lambdified_sources_do_not_depend_on_the_hash_seed(self):
-        # sympy's default printer orders sums by hash; the printed
-        # functions, and so the evaluated sources, must be the same in
-        # every interpreter
+    def test_sources_do_not_depend_on_the_hash_seed(self):
+        # a manufactured run's diagnostics are bit-identical in every
+        # interpreter only if its sources are
         probe = (
-            "import inspect, json, warnings\n"
-            "from jamflow.domain import ConstantBarrier\n"
+            "import warnings\n"
+            "import numpy as np\n"
+            "from jamflow.domain import PipeBarrier\n"
             "from jamflow.pressure import FluidParams, SingularLaw\n"
-            "from jamflow.scenarios import manufactured_default\n"
+            "from jamflow.scenarios import ManufacturedSolution\n"
             "warnings.simplefilter('ignore')\n"
-            "sol = manufactured_default(SingularLaw(0.05, 3.0, 3.0), "
-            "FluidParams(0.02, 0.0, 2.0), ConstantBarrier(1.0))\n"
-            "print(json.dumps({k: inspect.getsource(f) for k, f in sol._fns.items()}))\n"
+            "sol = ManufacturedSolution(SingularLaw(0.05, 3.0, 3.0), "
+            "FluidParams(0.02, 0.0, 2.0), PipeBarrier(1.0, 0.8, 0.5, 0.2))\n"
+            "x = np.linspace(0.0, 1.0, 101)\n"
+            "print((sol.mass_source(0.07, x).tobytes()"
+            " + sol.momentum_source(0.07, x).tobytes()).hex())\n"
         )
         sources = []
         for seed in ("1", "3"):
@@ -283,8 +264,8 @@ class TestManufacturedSolution:
                 [sys.executable, "-c", probe], capture_output=True, text=True,
                 env=env, timeout=120, check=True,
             )
-            sources.append(json.loads(proc.stdout.splitlines()[-1]))
-        assert set(sources[0]) >= {"mass_src", "mom_src"}
+            sources.append(proc.stdout.splitlines()[-1])
+        assert len(sources[0]) == 2 * 2 * 101 * 8
         assert sources[0] == sources[1]
 
     def test_scenario_wires_manufactured_initial_data(self):

@@ -24,6 +24,7 @@ from jamflow.solver import (
     SolverConfig,
     advance,
     effective_sound_speed,
+    next_tick,
     stable_dt,
     step,
     step_ratio,
@@ -278,6 +279,19 @@ class TestAdvance:
         # than one tick plus a step
         gaps = np.diff(times)
         assert np.max(gaps) < 2.5 * cfg.snapshot_every
+
+    def test_next_tick_is_the_first_lap_past_the_time(self):
+        assert next_tick(0.0, 0.0, 0.01) == 0.01
+        assert next_tick(0.015, 0.0, 0.01) == 0.02
+        assert next_tick(0.02, 0.0, 0.01) == 0.03
+        assert next_tick(0.30, 0.25, 0.02) == 0.25 + 3 * 0.02
+        # a time short of a tick by round-off counts as on it
+        assert next_tick(0.03 - 1e-14, 0.0, 0.01) == 0.04
+
+    @pytest.mark.parametrize("every", [1e-20, 1e-320])
+    def test_unresolved_next_tick_is_the_time_itself(self, every):
+        # 1e-20 is past 2**53 laps; t / 1e-320 overflows to infinity
+        assert next_tick(0.003, 0.0, every) == 0.003
 
     def test_mass_conserved_over_many_steps(self):
         grid = Grid((1.0,), (40,))
