@@ -39,6 +39,18 @@ class SweepPlan:
     kind: str  # "eps" | "kappa_delta"
     values: tuple  # floats for eps, (kappa, delta) pairs otherwise
 
+    def members(self):
+        """``(label, value, law fields)`` per member, stiffest first.
+
+        An eps member is labelled and ordered by its eps, a kappa_delta
+        member by its delta; the label names the member's run directory.
+        """
+        if self.kind == "eps":
+            eps = sorted(self.values, reverse=True)
+            return [(f"eps_{v:g}", float(v), {"eps": float(v)}) for v in eps]
+        pairs = sorted(self.values, key=lambda p: p[1], reverse=True)
+        return [(f"delta_{d:g}", float(d), {"kappa": float(k), "delta": float(d)}) for k, d in pairs]
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -431,6 +443,12 @@ def parse_config(text, overrides=()):
                     issues.add("sweep", "pairs", "kappa:delta pairs must be finite")
                 else:
                     sweep = SweepPlan(kind="kappa_delta", values=pairs)
+        if sweep is not None:
+            labels = [label for label, _, _ in sweep.members()]
+            shared = sorted({label for label in labels if labels.count(label) > 1})
+            if shared:
+                key = "values" if sweep.kind == "eps" else "pairs"
+                issues.add("sweep", key, f"members would share a run directory: {', '.join(shared)}")
         sw_sec.flag_unknown()
 
     issues.raise_if_any()

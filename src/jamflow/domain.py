@@ -67,13 +67,9 @@ class Grid:
         h = self.dx[axis]
         return (np.arange(-1, self.cells[axis] + 1) + 0.5) * h
 
-    def meshes(self, ghosted=False):
-        """Per-axis coordinate arrays broadcast to the full grid shape."""
-        axes = [
-            self.ghosted_centers(a) if ghosted else self.centers(a)
-            for a in range(self.dim)
-        ]
-        return np.meshgrid(*axes, indexing="ij")
+    def meshes(self):
+        """Per-axis interior coordinate arrays broadcast to the grid shape."""
+        return np.meshgrid(*(self.centers(a) for a in range(self.dim)), indexing="ij")
 
 
 def interior_view(arr, dim):
@@ -217,14 +213,6 @@ class BarrierField:
     @cached_property
     def sup_value(self):
         return float(np.max(self.interior))
-
-    def face_values(self, axis):
-        """Arithmetic face means along ``axis`` (other axes stay ghosted)."""
-        lo = [slice(None)] * self.grid.dim
-        hi = [slice(None)] * self.grid.dim
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        return 0.5 * (self.values[tuple(lo)] + self.values[tuple(hi)])
 
 
 def build_barrier(spec, grid):

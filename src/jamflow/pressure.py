@@ -105,16 +105,21 @@ def _preload_hyp2f1(alpha):
         _hyp2f1()
 
 
-def _warn_if_shallow(kind, alpha, beta):
+def _check_steep(kind, alpha, beta):
+    """Require alpha > 1, warn on shallow exponents, load what alpha needs."""
+    # the potentials integrate s**(alpha - 2) up from 0
+    if not (alpha > 1.0):
+        raise ParameterError(f"{kind} law: alpha must exceed 1, got {alpha}")
     if alpha < RECOMMENDED_MIN_EXPONENT or beta < RECOMMENDED_MIN_EXPONENT:
         warnings.warn(
             f"{kind} law with alpha={alpha}, beta={beta}: exponents below "
             f"{RECOMMENDED_MIN_EXPONENT} weaken the stored-energy bounds",
             SteepnessWarning,
-            # 4 = past _warn_if_shallow, __post_init__, and the generated
+            # 4 = past _check_steep, __post_init__, and the generated
             # dataclass __init__, landing on the constructing caller
             stacklevel=4,
         )
+    _preload_hyp2f1(alpha)
 
 
 @dataclass(frozen=True)
@@ -213,9 +218,8 @@ class SingularLaw(PressureLawBase):
     singular_at = 1.0
 
     def __post_init__(self):
-        _require_positive(self.kind, eps=self.eps, alpha=self.alpha, beta=self.beta)
-        _warn_if_shallow(self.kind, self.alpha, self.beta)
-        _preload_hyp2f1(self.alpha)
+        _require_positive(self.kind, eps=self.eps, beta=self.beta)
+        _check_steep(self.kind, self.alpha, self.beta)
 
     def _pi(self, r, om):
         return self.eps * r**self.alpha * om ** (-self.beta)
@@ -225,7 +229,7 @@ class SingularLaw(PressureLawBase):
         return self.eps * r ** (a - 1.0) * om ** (-b - 1.0) * (a * om + b * r)
 
     def _energy(self, r, om):
-        return _steep_energy(self, self.eps, self.alpha, self.beta, r, om)
+        return _steep_energy(self.eps, self.alpha, self.beta, r, om)
 
 
 @dataclass(frozen=True)
@@ -275,19 +279,12 @@ class TruncatedLaw(PressureLawBase):
     singular_at = None
 
     def __post_init__(self):
-        _require_positive(
-            self.kind,
-            eps=self.eps,
-            alpha=self.alpha,
-            beta=self.beta,
-            kappa=self.kappa,
-        )
+        _require_positive(self.kind, eps=self.eps, beta=self.beta, kappa=self.kappa)
         if not (self.cap_k > 4.0):
             raise ParameterError(f"truncated law: cap_k must exceed 4, got {self.cap_k}")
         if not (0.0 < self.delta < 1.0):
             raise ParameterError(f"truncated law: delta must lie in (0, 1), got {self.delta}")
-        _warn_if_shallow(self.kind, self.alpha, self.beta)
-        _preload_hyp2f1(self.alpha)
+        _check_steep(self.kind, self.alpha, self.beta)
 
     # derived constants are cached per law, so that stack_laws can carry
     # each member's own scalar value rather than one recomputed on an array
@@ -329,7 +326,7 @@ class TruncatedLaw(PressureLawBase):
         k = self.cap_k
         background = self.kappa / (k - 1.0) * s ** (k - 1.0)
         below = np.minimum(s, self._cap)
-        steep = _steep_energy(self, self.eps, self.alpha, self.beta, below, 1.0 - below)
+        steep = _steep_energy(self.eps, self.alpha, self.beta, below, 1.0 - below)
         a = self.alpha
         tail = np.where(
             s > self._cap,
@@ -380,16 +377,14 @@ class SedimentationLaw(PressureLawBase):
     def _energy(self, phi, om):
         s, ps = self.s_exp, self.phi_star
         x = phi / ps
-        return _steep_energy(self, self.c0 * ps ** (s - 2.0), s, 1.0, x, 1.0 - x)
+        return _steep_energy(self.c0 * ps ** (s - 2.0), s, 1.0, x, 1.0 - x)
 
 
-def _steep_energy(law, eps, alpha, beta, r, om):
+def _steep_energy(eps, alpha, beta, r, om):
     """Antiderivative of eps * s**(alpha-2) * (1-s)**(-beta) from 0 to r.
 
     ``om`` is 1 - r; the integer-alpha sum is written in it.
     """
-    if alpha <= 1.0:
-        raise ParameterError(f"{law.kind} law: potentials need alpha > 1")
     if float(alpha).is_integer():
         return _steep_energy_closed(eps, int(round(alpha)), beta, om)
     return _steep_energy_hyp(eps, alpha, beta, r)
@@ -418,56 +413,27 @@ def _steep_energy_closed(eps, alpha, beta, one_minus):
     return eps * total
 
 
-class _ScaledRatioLaw:
-    """View of a law whose natural argument is not the congestion ratio.
+def _unchecked(cls, values):
+    """A law of class ``cls`` with field ``values``, built without validation.
 
-    Rescales the argument so the blow-up sits at ratio 1; derivative and the
-    two potentials pick up the scale factor so that all identities between
-    them survive unchanged.
+    Only for laws derived from validated ones: their fields may be member
+    arrays, which ``__post_init__`` cannot check.
     """
-
-    kind = "scaled"
-    singular_at = 1.0
-
-    def __init__(self, law, scale):
-        self.law = law
-        self.scale = scale
-
-    def pressure(self, r):
-        return self.law.pressure(np.asarray(r, dtype=float) * self.scale)
-
-    def pressure_deriv(self, r):
-        return self.scale * self.law.pressure_deriv(np.asarray(r, dtype=float) * self.scale)
-
-    def enthalpy(self, r):
-        return self.scale * self.law.enthalpy(np.asarray(r, dtype=float) * self.scale)
-
-    def energy_potential(self, r):
-        return self.scale * self.law.energy_potential(np.asarray(r, dtype=float) * self.scale)
-
-    # unchecked terms, as on PressureLawBase; the law gets 1 - x of its own
-    # argument x = scale * r
-
-    def _check_range(self, lo, hi):
-        self.law._check_range(lo * self.scale, hi * self.scale)
-
-    def _pi(self, r, om):
-        x = r * self.scale
-        return self.law._pi(x, 1.0 - x)
-
-    def _dpi(self, r, om):
-        x = r * self.scale
-        return self.scale * self.law._dpi(x, 1.0 - x)
-
-    def _enthalpy(self, r, om):
-        x = r * self.scale
-        return self.scale * self.law._enthalpy(x, 1.0 - x)
+    law = object.__new__(cls)
+    law.__dict__.update(values)
+    return law
 
 
 def ratio_law(law):
-    """Return a view of ``law`` taking the congestion ratio as argument."""
+    """Return ``law`` as a function of the congestion ratio.
+
+    A sedimentation law c0 * phi**s / (phi_star - phi) read at
+    phi = phi_star * r is the same law with phi_star = 1 and
+    c0 * phi_star**(s - 1); every other law already takes the ratio.
+    """
     if isinstance(law, SedimentationLaw):
-        return _ScaledRatioLaw(law, law.phi_star)
+        c0 = law.c0 * law.phi_star ** (law.s_exp - 1.0)
+        return _unchecked(SedimentationLaw, {"c0": c0, "s_exp": law.s_exp, "phi_star": 1.0})
     return law
 
 
@@ -488,16 +454,14 @@ def stack_laws(laws, ndim):
         return first
     names = [f.name for f in fields(cls)]
     derived = [n for n, v in vars(cls).items() if isinstance(v, cached_property)]
-    stacked = object.__new__(cls)
+    stacked = {}
     for name in names + derived:
         values = [getattr(law, name) for law in laws]
         if any(v != values[0] for v in values):
-            value = np.array(values, dtype=float).reshape((len(laws),) + (1,) * ndim)
+            stacked[name] = np.array(values, dtype=float).reshape((len(laws),) + (1,) * ndim)
         else:
-            value = values[0]
-        # bypasses validation (done per member) and the frozen __setattr__
-        stacked.__dict__[name] = value
-    return stacked
+            stacked[name] = values[0]
+    return _unchecked(cls, stacked)
 
 
 @lru_cache(maxsize=256)

@@ -344,6 +344,23 @@ class TestSweepValidation:
             parse_config(self.BASE + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1\n")
         assert "truncated" in issues_of(exc)["sweep.kind"]
 
+    def test_eps_values_sharing_a_label_are_rejected(self):
+        # both print as eps_0.001, so both runs would land in one directory
+        with pytest.raises(ValidationError) as exc:
+            parse_config(self.BASE + "[sweep]\nkind = eps\nvalues = 1e-3, 1.0000001e-3\n")
+        assert "eps_0.001" in issues_of(exc)["sweep.values"]
+
+    def test_kappa_delta_pairs_sharing_a_label_are_rejected(self):
+        text = (
+            self.BASE
+            + "[pressure]\nkind = truncated\neps = 0.001\nalpha = 3.0\nbeta = 3.0\n"
+            + "kappa = 1.0\ncap_k = 6.0\ndelta = 0.1\n"
+            + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, 2.0:0.1\n"
+        )
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert "delta_0.1" in issues_of(exc)["sweep.pairs"]
+
     def test_kappa_delta_rejects_malformed_pairs(self):
         with pytest.raises(ValidationError) as exc:
             parse_config(self.BASE + "[sweep]\nkind = kappa_delta\npairs = 1.0&0.1\n")

@@ -105,7 +105,6 @@ class TestBarrierProfiles:
         bar = build_barrier(ConstantBarrier(0.8), g)
         assert bar.inf_value == bar.sup_value == pytest.approx(0.8)
         np.testing.assert_array_equal(bar.grad, np.zeros((1, 16)))
-        np.testing.assert_allclose(bar.face_values(0), 0.8)
 
     def test_tanh_step_endpoints(self):
         g = Grid((1.0,), (256,))

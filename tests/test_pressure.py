@@ -272,6 +272,8 @@ class TestParameterValidation:
             dict(eps=0.0, alpha=2.0, beta=4.0),
             dict(eps=-1e-3, alpha=2.0, beta=4.0),
             dict(eps=1e-3, alpha=0.0, beta=4.0),
+            dict(eps=1e-3, alpha=0.5, beta=4.0),
+            dict(eps=1e-3, alpha=1.0, beta=4.0),
             dict(eps=1e-3, alpha=2.0, beta=-1.0),
         ],
     )
@@ -294,6 +296,8 @@ class TestParameterValidation:
             make_truncated(1e-3, 3.0, 3.0, 1.0, 6.0, 1.0)
         with pytest.raises(ParameterError):
             make_truncated(1e-3, 3.0, 3.0, 0.0, 6.0, 0.1)
+        with pytest.raises(ParameterError):
+            make_truncated(1e-3, 1.0, 3.0, 1.0, 6.0, 0.1)  # potentials need alpha > 1
 
     def test_sedimentation_rejects(self):
         with pytest.raises(ParameterError):

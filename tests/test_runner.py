@@ -318,6 +318,13 @@ class TestCli:
         bad = TINY + "[fluid]\nmu = -1.0\n"
         assert main(["check", self.write(tmp_path, bad)]) == 2
 
+    def test_check_rejects_alpha_below_one(self, tmp_path, capsys):
+        # the potential of s**(alpha - 2) diverges at 0 for alpha <= 1
+        text = "[scenario]\nname = traffic_1d\n[grid]\ncells = 40\n[pressure]\nalpha = 0.5\n"
+        assert main(["check", self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "pressure.kind" in err and "alpha must exceed 1" in err
+
     def test_check_flags_inadmissible_initial(self, tmp_path, capsys):
         text = CRASH.replace("initial_value = 0.55", "initial_value = 1.2")
         assert main(["check", self.write(tmp_path, text)]) == 2

@@ -5,10 +5,13 @@ accepted steps and end with the same status and error text as a solo run
 of its own config.
 """
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
-from jamflow import TruncatedLaw, runner
+from jamflow import SedimentationLaw, TruncatedLaw, runner
 from jamflow.config import parse_config
 from jamflow.pressure import stack_laws
 from jamflow.runner import run_once, run_sweep
@@ -156,3 +159,22 @@ def test_stacked_law_evaluates_each_member_exactly():
         out = getattr(stacked, name)(rs)
         for m, law in enumerate(laws):
             assert out[m].tobytes() == getattr(law, name)(r).tobytes(), name
+
+
+def test_sedimentation_laws_with_different_packing_fractions_advance_together(counter):
+    # the ratio view of each member carries its own c0 * phi_star**(s_exp - 1)
+    cfg = parse_config(
+        "[scenario]\nname = traffic_1d\n[grid]\ncells = 40\n"
+        "[pressure]\nkind = sedimentation\nc0 = 0.01\ns_exp = 3.0\n"
+        "[solver]\nt_end = 0.05\n"
+    )
+    configs = [cfg, dataclasses.replace(cfg, law=SedimentationLaw(0.02, 3.0, phi_star=0.6))]
+    members = runner._run_members(
+        [(c, None) for c in configs], time.perf_counter(), write_artifacts=False
+    )
+    assert counter.calls == [2]
+    for c, m in zip(configs, members):
+        solo = run_once(c, write_artifacts=False)
+        assert m.result.status == solo.status == "ok"
+        assert len(m.result.records) > 1
+        assert m.result.records == solo.records
