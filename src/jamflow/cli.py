@@ -136,7 +136,7 @@ def cmd_check(args):
         return EXIT_INVALID
     state = make_state(cfg.grid, data.rho0, data.mom0)
     try:
-        dt0 = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.grid, cfg.solver.cfl)
+        dt0 = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
     except DegenerateState as exc:
         print(f"initial step: {exc}")
         return EXIT_OK

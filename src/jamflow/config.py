@@ -19,7 +19,7 @@ import configparser
 import io
 import math
 import re
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 from .domain import Grid
@@ -230,19 +230,24 @@ def _read_field(sec, f, dim):
     return sec.floatval(key, default, required)
 
 
-def _build(sec, cls, dim=1, at=None):
-    """Construct ``cls`` from its fields; constructor errors land on ``at``."""
+def _flag_error(sec, cls, exc):
+    """Flag a constructor error of ``cls`` at the key of the field it names."""
+    sec._flag({f.name: _key(f) for f in _fields(cls)}[exc.key], str(exc))
+
+
+def _build(sec, cls, dim=1):
+    """Construct ``cls`` from its fields; a constructor error lands on its field's key."""
     vals = {f.name: _read_field(sec, f, dim) for f in _fields(cls)}
     if None in vals.values():
         return None
     try:
         return cls(**vals)
     except ParameterError as exc:
-        sec._flag(at or _key(_fields(cls)[0]), str(exc))
+        _flag_error(sec, cls, exc)
         return None
 
 
-def _parse_spec(sec, kinds, dim, at=None):
+def _parse_spec(sec, kinds, dim):
     """A ``kind`` key naming a dataclass in ``kinds``, then that class's fields."""
     if not sec.data:
         sec._flag("kind", "required section is missing")
@@ -254,7 +259,7 @@ def _parse_spec(sec, kinds, dim, at=None):
     if kind not in kinds:
         sec._flag("kind", f"must be one of {sorted(kinds)}, got {raw_kind!r}")
         return None
-    return _build(sec, kinds[kind], dim, at)
+    return _build(sec, kinds[kind], dim)
 
 
 def _spec_raw(spec):
@@ -368,7 +373,7 @@ def parse_config(text, overrides=()):
         try:
             grid = Grid(extents=extent, cells=cells)
         except ParameterError as exc:
-            issues.add("grid", "cells", str(exc))
+            _flag_error(grid_sec, Grid, exc)
     grid_sec.flag_unknown()
     dim = len(cells) if cells else 1
 
@@ -379,7 +384,7 @@ def parse_config(text, overrides=()):
         return value
 
     barrier = parsed("barrier", _parse_spec, _BARRIER_KINDS, dim)
-    law = parsed("pressure", _parse_spec, LAW_KINDS, dim, "kind")
+    law = parsed("pressure", _parse_spec, LAW_KINDS, dim)
     fluid = parsed("fluid", _build, FluidParams)
     solver = parsed("solver", _build, SolverConfig)
 
@@ -428,8 +433,6 @@ def parse_config(text, overrides=()):
                     issues.add("sweep", "kind", "eps sweep needs a singular or truncated law")
                 elif not all(math.isfinite(v) for v in values):
                     issues.add("sweep", "values", "stiffness values must be finite")
-                elif any(v <= 0 for v in values):
-                    issues.add("sweep", "values", "stiffness values must be positive")
                 else:
                     sweep = SweepPlan(kind="eps", values=values)
         elif kind == "kappa_delta":
@@ -444,11 +447,17 @@ def parse_config(text, overrides=()):
                 else:
                     sweep = SweepPlan(kind="kappa_delta", values=pairs)
         if sweep is not None:
+            key = "values" if sweep.kind == "eps" else "pairs"
             labels = [label for label, _, _ in sweep.members()]
             shared = sorted({label for label in labels if labels.count(label) > 1})
             if shared:
-                key = "values" if sweep.kind == "eps" else "pairs"
                 issues.add("sweep", key, f"members would share a run directory: {', '.join(shared)}")
+            # a member law that cannot be built fails the config, not the run
+            for label, _, law_fields in sweep.members() if law is not None else ():
+                try:
+                    replace(law, **law_fields)
+                except ParameterError as exc:
+                    issues.add("sweep", key, f"member {label}: {exc}")
         sw_sec.flag_unknown()
 
     issues.raise_if_any()

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .domain import _centered_grad
 from .errors import ParameterError
 from .pressure import ratio_law
 
@@ -65,16 +66,7 @@ def energy(state, law, params, barrier):
     return float(kinetic), float(internal), float(stored)
 
 
-def _centered_diff(a, axis, grid):
-    """Centered difference of a ghosted scalar along ``axis``, on interior cells."""
-    hi = [slice(1, -1)] * grid.dim
-    lo = [slice(1, -1)] * grid.dim
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    return (a[tuple(hi)] - a[tuple(lo)]) / (2.0 * grid.dx[axis])
-
-
-def dissipation_rate(state, params, floor=0.0):
+def dissipation_rate(state, params):
     """Instantaneous viscous dissipation 2*mu*|D(u)|**2 + lam*(div u)**2.
 
     Velocity gradients by centered differences on the ghosted velocity, so
@@ -82,11 +74,11 @@ def dissipation_rate(state, params, floor=0.0):
     """
     grid = state.grid
     dim = grid.dim
-    u = state.velocity(floor)
+    u = state.velocity()
     grads = np.empty((dim, dim) + grid.shape)
     for comp in range(dim):
         for ax in range(dim):
-            grads[comp, ax] = _centered_diff(u[comp], ax, grid)
+            grads[comp, ax] = _centered_grad(u[comp], ax, dim, grid.dx[ax])
     sym = 0.5 * (grads + np.swapaxes(grads, 0, 1))
     div = np.trace(grads, axis1=0, axis2=1)
     density = 2.0 * params.mu * np.sum(sym**2, axis=(0, 1)) + params.lam * div**2
@@ -106,14 +98,14 @@ class CongestionMetrics:
     divu_congested: float
 
 
-def div_barrier_velocity(state, barrier, floor=0.0):
+def div_barrier_velocity(state, barrier):
     """Centered divergence of (barrier * velocity) on interior cells."""
     grid = state.grid
     dim = grid.dim
-    q = barrier.values * state.velocity(floor)
+    q = barrier.values * state.velocity()
     out = np.zeros(grid.shape)
     for ax in range(dim):
-        out += _centered_diff(q[ax], ax, grid)
+        out += _centered_grad(q[ax], ax, dim, grid.dx[ax])
     return out
 
 
@@ -145,9 +137,9 @@ def congestion_metrics(state, law, barrier, delta_c=DEFAULT_CONGESTED_DELTA):
     )
 
 
-def collect(state, law, params, barrier, delta_c=DEFAULT_CONGESTED_DELTA):
+def collect(state, law, params, barrier):
     kin, internal, stored = energy(state, law, params, barrier)
-    cm = congestion_metrics(state, law, barrier, delta_c)
+    cm = congestion_metrics(state, law, barrier)
     return DiagnosticsRecord(
         t=float(state.t),
         kinetic=kin,
@@ -204,7 +196,7 @@ class CongestedDivergenceReport:
     """Normalized congested-divergence ratios across stored snapshots."""
 
     times: tuple
-    ratios: tuple  # divu_congested / (||div(barrier*u)||_L2 + floor)
+    ratios: tuple  # divu_congested / (||div(barrier*u)||_L2 + DIVERGENCE_FLOOR)
     congested_counts: tuple
 
     @property
@@ -250,30 +242,25 @@ def pressure_level_threshold(law, level, r_hint=None):
             below = mid
 
 
-def matched_congestion_delta(
-    law,
-    peak_ratio,
-    fraction=MATCHED_PRESSURE_FRACTION,
-    cap=MATCHED_DELTA_CAP,
-):
+def matched_congestion_delta(law, peak_ratio):
     """Congestion threshold placed where pressure hits a share of its peak.
 
     Runs with different laws jam at different ratios: a soft law carries the
     same load at a visibly lower density than a stiff one, so thresholding
     every run at the same ratio compares load-bearing material in one run
     against loose material in another.  Solving pi(1 - delta) =
-    fraction * pi(peak_ratio) puts each run's threshold at the same point
-    of its own load curve.  Returns None when the run never develops a
-    concentrated pressure core (threshold wider than ``cap``), which is the
-    signature of an unjammed run.
+    MATCHED_PRESSURE_FRACTION * pi(peak_ratio) puts each run's threshold at
+    the same point of its own load curve.  Returns None when the run never
+    develops a concentrated pressure core (threshold wider than
+    MATCHED_DELTA_CAP), which is the signature of an unjammed run.
     """
     if not np.isfinite(peak_ratio) or peak_ratio <= 0.0:
         return None
     p_peak = float(ratio_law(law).pressure(np.asarray(peak_ratio)))
     if p_peak <= 0.0:
         return None
-    delta = pressure_level_threshold(law, fraction * p_peak)
-    if delta is None or delta > cap:
+    delta = pressure_level_threshold(law, MATCHED_PRESSURE_FRACTION * p_peak)
+    if delta is None or delta > MATCHED_DELTA_CAP:
         return None
     return delta
 
@@ -298,9 +285,7 @@ def congested_interior(mask):
     return eroded
 
 
-def congested_divergence_report(
-    states, barrier, delta_c=DEFAULT_CONGESTED_DELTA, floor=DIVERGENCE_FLOOR
-):
+def congested_divergence_report(states, barrier, delta_c=DEFAULT_CONGESTED_DELTA):
     """Compare div(barrier * velocity) inside jams against its global size.
 
     As the congestion pressure stiffens, flow inside jams must reorganize
@@ -310,11 +295,11 @@ def congested_divergence_report(
     of the congested set (see ``congested_interior``) so the free-boundary
     cell does not mask the behavior of the jam proper.
     """
-    [report] = congested_divergence_reports(states, barrier, (delta_c,), floor)
+    [report] = congested_divergence_reports(states, barrier, (delta_c,))
     return report
 
 
-def congested_divergence_reports(states, barrier, thresholds, floor=DIVERGENCE_FLOOR):
+def congested_divergence_reports(states, barrier, thresholds):
     """``congested_divergence_report`` for each of several ``delta_c``.
 
     The ratio field and div(barrier * velocity) are computed once per
@@ -330,7 +315,7 @@ def congested_divergence_reports(states, barrier, thresholds, floor=DIVERGENCE_F
             congested = ratio_field >= 1.0 - delta_c
             inside = float(np.sqrt(np.sum(div_sq[congested_interior(congested)]) * vol))
             times.append(float(state.t))
-            ratios.append(inside / (total + floor))
+            ratios.append(inside / (total + DIVERGENCE_FLOOR))
             counts.append(int(np.count_nonzero(congested)))
     return [
         CongestedDivergenceReport(

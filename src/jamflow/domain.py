@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,22 +21,23 @@ from .errors import ParameterError, SpecError
 class Grid:
     """Uniform rectangular grid; extents are physical side lengths."""
 
-    extents: tuple[float, ...]
+    # a config spells it ``extent``
+    extents: tuple[float, ...] = field(metadata={"key": "extent"})
     cells: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(float(e) for e in np.atleast_1d(self.extents)))
         object.__setattr__(self, "cells", tuple(int(n) for n in np.atleast_1d(self.cells)))
         if len(self.extents) != len(self.cells):
-            raise ParameterError("grid extents and cells must have matching dimension")
+            raise ParameterError("grid extents and cells must have matching dimension", "extents")
         if len(self.cells) not in (1, 2):
-            raise ParameterError("only 1D and 2D grids are supported")
+            raise ParameterError("only 1D and 2D grids are supported", "cells")
         if not all(math.isfinite(e) for e in self.extents):
-            raise ParameterError(f"grid extents must be finite, got {self.extents}")
+            raise ParameterError(f"grid extents must be finite, got {self.extents}", "extents")
         if any(e <= 0 for e in self.extents):
-            raise ParameterError("grid extents must be positive")
+            raise ParameterError("grid extents must be positive", "extents")
         if any(n < 3 for n in self.cells):
-            raise ParameterError("need at least 3 cells per axis")
+            raise ParameterError("need at least 3 cells per axis", "cells")
 
     @property
     def dim(self):
@@ -72,33 +73,54 @@ class Grid:
         return np.meshgrid(*(self.centers(a) for a in range(self.dim)), indexing="ij")
 
 
+# Ghosted arrays may carry leading component or member axes; the ``dim``
+# spatial axes are always the trailing ones.
+
+@lru_cache(maxsize=None)
+def _sl(dim, axis, start, stop):
+    out = [slice(None)] * dim
+    out[axis] = slice(start, stop)
+    return (Ellipsis,) + tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _others(dim, axis):
+    # interior cells along every axis but ``axis``
+    other = [slice(1, -1)] * dim
+    other[axis] = slice(None)
+    return (Ellipsis,) + tuple(other)
+
+
+def _centered_grad(arr, axis, dim, dx):
+    """Centered difference of a ghosted array along ``axis``, on interior cells."""
+    # dividing before the ghost rows of the other axes are dropped sweeps a
+    # contiguous array, several times faster than the strided interior view
+    d = arr[_sl(dim, axis, 2, None)] - arr[_sl(dim, axis, None, -2)]
+    return (d / (2.0 * dx))[_others(dim, axis)]
+
+
 def interior_view(arr, dim):
     """Interior cells of a ghosted array; leading component axes survive."""
     return arr[(Ellipsis,) + (slice(1, -1),) * dim]
 
 
+def _mirror(arr, dim, odd):
+    """Copy the cells along each wall into its ghost layer, negated if ``odd``."""
+    for ax in range(dim):
+        for ghost, edge in (((0, 1), (1, 2)), ((-1, None), (-2, -1))):
+            near = arr[_sl(dim, ax, *edge)]
+            arr[_sl(dim, ax, *ghost)] = -near if odd else near
+    return arr
+
+
 def fill_scalar_ghosts(arr, dim):
     """Mirror the interior into the ghost layer along every spatial axis."""
-    for ax in range(arr.ndim - dim, arr.ndim):
-        lo = [slice(None)] * arr.ndim
-        hi = [slice(None)] * arr.ndim
-        lo[ax], hi[ax] = 0, 1
-        arr[tuple(lo)] = arr[tuple(hi)]
-        lo[ax], hi[ax] = -1, -2
-        arr[tuple(lo)] = arr[tuple(hi)]
-    return arr
+    return _mirror(arr, dim, odd=False)
 
 
 def fill_velocity_ghosts(arr, dim):
     """Odd-mirror all components along every spatial axis (no-slip walls)."""
-    for ax in range(arr.ndim - dim, arr.ndim):
-        lo = [slice(None)] * arr.ndim
-        hi = [slice(None)] * arr.ndim
-        lo[ax], hi[ax] = 0, 1
-        arr[tuple(lo)] = -arr[tuple(hi)]
-        lo[ax], hi[ax] = -1, -2
-        arr[tuple(lo)] = -arr[tuple(hi)]
-    return arr
+    return _mirror(arr, dim, odd=True)
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +171,18 @@ class PipeBarrier:
 def profile_values(spec, coords):
     """Evaluate a barrier spec and its analytic gradient on coordinates.
 
-    ``coords`` is a tuple of broadcast coordinate arrays (one per axis).
+    ``coords`` holds one coordinate array per axis, all of one shape.
     Returns (values, list of per-axis gradient arrays).
     """
     x = coords[0]
-    zeros = np.zeros(np.broadcast(*coords).shape) if len(coords) > 1 else np.zeros_like(x)
     if isinstance(spec, ConstantBarrier):
-        vals = np.full_like(zeros + x * 0.0, spec.value)
+        vals = np.full_like(x, spec.value)
         return vals, [np.zeros_like(vals) for _ in coords]
     if isinstance(spec, TanhStepBarrier):
         arg = (x - spec.center) / spec.width
         vals = spec.left + (spec.right - spec.left) * 0.5 * (1.0 + np.tanh(arg))
         gx = (spec.right - spec.left) * 0.5 / spec.width / np.cosh(arg) ** 2
-        grads = [np.broadcast_to(gx, vals.shape).copy()]
-        grads += [np.zeros_like(vals) for _ in coords[1:]]
-        vals = np.broadcast_to(vals, np.broadcast(*coords).shape).copy() if len(coords) > 1 else vals
-        return vals, grads
+        return vals, [gx] + [np.zeros_like(vals) for _ in coords[1:]]
     if isinstance(spec, GaussianBumpBarrier):
         center = spec.center
         if len(center) == 1 and len(coords) > 1:
@@ -185,11 +203,7 @@ def profile_values(spec, coords):
         gx = np.where(
             inside, depth * np.sin(2.0 * theta) * np.pi / (2.0 * spec.halfwidth), 0.0
         )
-        shape = np.broadcast(*coords).shape
-        vals = np.broadcast_to(vals, shape).copy()
-        grads = [np.broadcast_to(gx, shape).copy()]
-        grads += [np.zeros(shape) for _ in coords[1:]]
-        return vals, grads
+        return vals, [gx] + [np.zeros_like(vals) for _ in coords[1:]]
     raise SpecError(f"unknown barrier spec {spec!r}")
 
 
@@ -255,20 +269,11 @@ class FlowState:
 
     def velocity(self, floor=0.0):
         """Ghosted velocity; zero where density does not exceed ``floor``."""
-        return velocity_field(self.rho, self.mom, floor)
+        safe = np.where(self.rho > floor, self.rho, 1.0)
+        return np.where(self.rho > floor, self.mom / safe, 0.0)
 
     def copy(self):
         return FlowState(self.t, self.rho.copy(), self.mom.copy(), self.grid)
-
-
-def velocity_field(rho, mom, floor=0.0):
-    """Momentum over density, zero where density does not exceed ``floor``.
-
-    ``mom`` carries its component axis first, ahead of any axes it shares
-    with ``rho``.
-    """
-    safe = np.where(rho > floor, rho, 1.0)
-    return np.where(rho > floor, mom / safe, 0.0)
 
 
 def make_state(grid, rho0, mom0, t=0.0):
@@ -277,15 +282,9 @@ def make_state(grid, rho0, mom0, t=0.0):
     mom = np.zeros((grid.dim,) + grid.ghosted_shape)
     rho[(slice(1, -1),) * grid.dim] = rho0
     mom[(Ellipsis,) + (slice(1, -1),) * grid.dim] = mom0
-    state = FlowState(t=float(t), rho=rho, mom=mom, grid=grid)
-    return apply_velocity_bc(state)
-
-
-def apply_velocity_bc(state):
-    """Refill ghost layers for impermeable no-slip walls; idempotent."""
-    fill_scalar_ghosts(state.rho, state.grid.dim)
-    fill_velocity_ghosts(state.mom, state.grid.dim)
-    return state
+    fill_scalar_ghosts(rho, grid.dim)
+    fill_velocity_ghosts(mom, grid.dim)
+    return FlowState(t=float(t), rho=rho, mom=mom, grid=grid)
 
 
 # ---------------------------------------------------------------------------

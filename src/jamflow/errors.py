@@ -6,7 +6,11 @@ class JamflowError(Exception):
 
 
 class ParameterError(JamflowError):
-    """A law or fluid parameter is outside its admissible range."""
+    """A parameter is outside its admissible range; ``key`` names its field, if any."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class BarrierViolation(JamflowError):

@@ -88,7 +88,7 @@ def _match_shape(values, template):
 def _require_positive(kind, **fields):
     for name, value in fields.items():
         if not (value > 0.0):
-            raise ParameterError(f"{kind} law: {name} must be positive, got {value}")
+            raise ParameterError(f"{kind} law: {name} must be positive, got {value}", name)
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +109,7 @@ def _check_steep(kind, alpha, beta):
     """Require alpha > 1, warn on shallow exponents, load what alpha needs."""
     # the potentials integrate s**(alpha - 2) up from 0
     if not (alpha > 1.0):
-        raise ParameterError(f"{kind} law: alpha must exceed 1, got {alpha}")
+        raise ParameterError(f"{kind} law: alpha must exceed 1, got {alpha}", "alpha")
     if alpha < RECOMMENDED_MIN_EXPONENT or beta < RECOMMENDED_MIN_EXPONENT:
         warnings.warn(
             f"{kind} law with alpha={alpha}, beta={beta}: exponents below "
@@ -137,13 +137,13 @@ class FluidParams:
 
     def __post_init__(self):
         if not (self.mu > 0.0):
-            raise ParameterError(f"mu must be positive, got {self.mu}")
+            raise ParameterError(f"mu must be positive, got {self.mu}", "mu")
         if not (2.0 * self.mu + self.lam > 0.0):
             raise ParameterError(
-                f"2*mu + lambda must be positive, got {2.0 * self.mu + self.lam}"
+                f"2*mu + lambda must be positive, got {2.0 * self.mu + self.lam}", "lam"
             )
         if not (self.gamma > 1.0):
-            raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
+            raise ParameterError(f"gamma must exceed 1, got {self.gamma}", "gamma")
 
     def pressure(self, rho):
         arr = np.asarray(rho, dtype=float)
@@ -245,7 +245,7 @@ class BarotropicLaw(PressureLawBase):
     def __post_init__(self):
         _require_positive(self.kind, a=self.a)
         if not (self.gamma_n > 1.0):
-            raise ParameterError(f"barotropic law: gamma_n must exceed 1, got {self.gamma_n}")
+            raise ParameterError(f"barotropic law: gamma_n must exceed 1, got {self.gamma_n}", "gamma_n")
 
     def _pi(self, r, om):
         return self.a * r**self.gamma_n
@@ -281,9 +281,9 @@ class TruncatedLaw(PressureLawBase):
     def __post_init__(self):
         _require_positive(self.kind, eps=self.eps, beta=self.beta, kappa=self.kappa)
         if not (self.cap_k > 4.0):
-            raise ParameterError(f"truncated law: cap_k must exceed 4, got {self.cap_k}")
+            raise ParameterError(f"truncated law: cap_k must exceed 4, got {self.cap_k}", "cap_k")
         if not (0.0 < self.delta < 1.0):
-            raise ParameterError(f"truncated law: delta must lie in (0, 1), got {self.delta}")
+            raise ParameterError(f"truncated law: delta must lie in (0, 1), got {self.delta}", "delta")
         _check_steep(self.kind, self.alpha, self.beta)
 
     # derived constants are cached per law, so that stack_laws can carry
@@ -356,7 +356,7 @@ class SedimentationLaw(PressureLawBase):
         _require_positive(self.kind, c0=self.c0, phi_star=self.phi_star)
         if not (2.0 <= self.s_exp <= 5.0):
             raise ParameterError(
-                f"sedimentation law: s_exp must lie in [2, 5], got {self.s_exp}"
+                f"sedimentation law: s_exp must lie in [2, 5], got {self.s_exp}", "s_exp"
             )
         _preload_hyp2f1(self.s_exp)
 

@@ -315,18 +315,8 @@ class SweepOutcome:
 
     @property
     def exit_code(self):
-        return 0 if all(r.status == "ok" for r in self.rows) else 3
-
-
-def _member_configs(cfg):
-    members = []
-    for label, value, law_fields in cfg.sweep.members():
-        try:
-            member = replace(cfg, law=replace(cfg.law, **law_fields), sweep=None)
-            members.append((label, value, member, None))
-        except (ParameterError, TypeError) as exc:
-            members.append((label, value, None, str(exc)))
-    return members
+        """The worst member's exit code."""
+        return max(STATUS_EXIT[r.status] for r in self.rows)
 
 
 def _time_integral(records, attr):
@@ -373,42 +363,34 @@ def _row_from_result(label, value, res, barrier, law):
 def run_sweep(cfg, out_dir=None):
     """Run every sweep member, tolerating member failures.
 
-    The admissible members advance together in one pass (see
-    ``_run_members``).  Rows are ordered by decreasing stiffness (or
-    decreasing truncation delta); trend indicators land in summary.json.
+    Every member directory is created before the members advance together
+    in one pass (see ``_run_members``).  Rows are ordered by decreasing
+    stiffness (or decreasing truncation delta); trend indicators land in
+    summary.json.
     """
     if cfg.sweep is None:
         raise ValidationError([("sweep.kind", 0, "config carries no sweep plan")])
+    # parse_config has built every member law; a plan made by hand meets
+    # the law's own checks here, before anything is written
+    plan = [
+        (label, value, replace(cfg, law=replace(cfg.law, **law_fields), sweep=None))
+        for label, value, law_fields in cfg.sweep.members()
+    ]
     out = prepare_out_dir(out_dir or cfg.out_dir)
     started = time.perf_counter()
-    plan = _member_configs(cfg)
-    results = [None] * len(plan)
-    runs, run_index = [], []
-    for i, (label, _, member, build_err) in enumerate(plan):
-        if member is None:
-            results[i] = RunResult(status="invalid", error=build_err)
-            continue
-        try:
-            runs.append((member, prepare_out_dir(out / label)))
-            run_index.append(i)
-        except IoError as exc:
-            results[i] = RunResult(status="io_failure", error=str(exc))
-    barriers = [None] * len(plan)
-    for i, m in zip(run_index, _run_members(runs, started)):
-        results[i], barriers[i] = m.result, m.barrier
+    runs = [(member, prepare_out_dir(out / label)) for label, _, member in plan]
+    members = _run_members(runs, started)
     rows, sensitivity = [], {}
-    for (label, value, member, _), res, barrier in zip(plan, results, barriers):
-        if member is None:
-            rows.append(SweepRow(label=label, value=value, status="invalid"))
-            continue
-        row, sens = _row_from_result(label, value, res, barrier, member.law)
+    for (label, value, _), m in zip(plan, members):
+        row, sens = _row_from_result(label, value, m.result, m.barrier, m.cfg.law)
         if sens is not None:
             sensitivity[label] = sens
         rows.append(row)
-        res.states = []  # runs can be large; metrics are already extracted
+        m.result.states = []  # runs can be large; metrics are already extracted
     summary = _sweep_summary(rows, sensitivity)
     _write_sweep_csv(out / "sweep.csv", rows)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    results = [m.result for m in members]
     return SweepOutcome(rows=rows, results=results, summary=summary, out_dir=out)
 
 

@@ -38,7 +38,7 @@ class FillFraction:
 
     def __post_init__(self):
         if not (0.0 < self.fraction < 1.0):
-            raise ParameterError(f"fill fraction must lie in (0, 1), got {self.fraction}")
+            raise ParameterError(f"fill fraction must lie in (0, 1), got {self.fraction}", "fraction")
 
 
 # every profile spec by kind; fill_fraction is an initial profile only
@@ -143,8 +143,8 @@ class ManufacturedSolution:
             src = src + b * ratio_law(self.law).pressure_deriv(rho / b) * r_x
         return self._shaped(src, x)
 
-    def check_margin(self, t_end, extent=1.0, samples=512):
-        xs = np.linspace(0.0, extent, samples)
+    def check_margin(self, t_end, extent=1.0):
+        xs = np.linspace(0.0, extent, 512)
         b, _ = self._barrier(xs)
         ts = np.linspace(0.0, max(t_end, 1e-9), 65)
         worst = max(float(np.max(self.density(tv, xs) / b)) for tv in ts)

@@ -27,6 +27,9 @@ import numpy as np
 from . import diagnostics
 from .domain import (
     FlowState,
+    _centered_grad,
+    _others,
+    _sl,
     fill_scalar_ghosts,
     fill_velocity_ghosts,
     interior_view,
@@ -57,23 +60,23 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
-            raise ParameterError(f"cfl must lie in (0, 1], got {self.cfl}")
+            raise ParameterError(f"cfl must lie in (0, 1], got {self.cfl}", "cfl")
         if not (0.0 < self.barrier_tol < 0.1):
             raise ParameterError(
-                f"barrier_tol must lie in (0, 0.1), got {self.barrier_tol}"
+                f"barrier_tol must lie in (0, 0.1), got {self.barrier_tol}", "barrier_tol"
             )
         if self.max_substeps < 1:
-            raise ParameterError("max_substeps must be at least 1")
+            raise ParameterError("max_substeps must be at least 1", "max_substeps")
         for name in ("t_end", "snapshot_every"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}", name)
         if self.t_end < 0.0:
-            raise ParameterError(f"t_end must be nonnegative, got {self.t_end}")
+            raise ParameterError(f"t_end must be nonnegative, got {self.t_end}", "t_end")
         if self.snapshot_every <= 0.0:
-            raise ParameterError("snapshot_every must be positive")
+            raise ParameterError("snapshot_every must be positive", "snapshot_every")
         if self.force_form not in FORCE_FORMS:
             raise ParameterError(
-                f"force_form must be one of {FORCE_FORMS}, got {self.force_form!r}"
+                f"force_form must be one of {FORCE_FORMS}, got {self.force_form!r}", "force_form"
             )
 
 
@@ -84,23 +87,8 @@ class SolverConfig:
 # goes through exactly the elementwise operations of its solo run.
 
 @lru_cache(maxsize=None)
-def _sl(dim, axis, start, stop):
-    out = [slice(None)] * dim
-    out[axis] = slice(start, stop)
-    return (Ellipsis,) + tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _interior(dim):
     return (Ellipsis,) + (slice(1, -1),) * dim
-
-
-@lru_cache(maxsize=None)
-def _others(dim, axis):
-    # interior cells along every axis but ``axis``
-    other = [slice(1, -1)] * dim
-    other[axis] = slice(None)
-    return (Ellipsis,) + tuple(other)
 
 
 def _face_mean(arr, axis, dim):
@@ -114,18 +102,12 @@ def _upwind(forward, arr, axis, dim):
 
 
 # The differences below divide before they drop the ghost rows of the other
-# axes: the division then runs over a contiguous array, which numpy sweeps
-# several times faster than the strided interior view.
+# axes, as ``domain._centered_grad`` does.
 
 def _face_div(flux, axis, dim, dx):
     """Difference of face fluxes, restricted to interior cells."""
     d = flux[_sl(dim, axis, 1, None)] - flux[_sl(dim, axis, None, -1)]
     return (d / dx)[_others(dim, axis)]
-
-
-def _centered_grad(arr, axis, dim, dx):
-    d = arr[_sl(dim, axis, 2, None)] - arr[_sl(dim, axis, None, -2)]
-    return (d / (2.0 * dx))[_others(dim, axis)]
 
 
 def _second_diff(arr, axis, dim, dx):
@@ -307,7 +289,7 @@ def _dt_from_rate(worst, cfl):
     return cfl / worst
 
 
-def stable_dt(state, law, params, barrier, grid=None, cfl=0.4):
+def stable_dt(state, law, params, barrier, cfl=0.4):
     """Largest admissible explicit step for the current state.
 
     Uses a combined rate bound: per cell, the sum of the advective rate
@@ -317,8 +299,7 @@ def stable_dt(state, law, params, barrier, grid=None, cfl=0.4):
     keeps the step inside the mixed advection-diffusion stability region;
     either mechanism alone recovers the familiar individual limits.
     """
-    grid = grid or state.grid
-    ev = _Pass(state.rho, state.mom, law, params, barrier, grid.dx)
+    ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
     err = _sizing_error(ev.rlaw, *ev.ratio_range())
     if err is not None:
         raise err
@@ -421,7 +402,7 @@ class _Solo:
 
     def size(self, ts):
         try:
-            return [stable_dt(self.current(0, ts[0]), *self.args, self.grid, self.cfg.cfl)]
+            return [stable_dt(self.current(0, ts[0]), *self.args, self.cfg.cfl)]
         except (DegenerateState, BarrierViolation) as exc:
             return [exc]
 

@@ -16,6 +16,8 @@ from jamflow.config import (
 )
 from jamflow.errors import IoError, ParseError, ValidationError
 
+from test_runner import KAPPA_DELTA_BAD
+
 CUSTOM_TEXT = textwrap.dedent(
     """
     [scenario]
@@ -159,8 +161,24 @@ class TestValidationIssues:
         entries = {key: (line, reason) for key, line, reason in exc.value.issues}
         assert entries["fluid.mu"][0] == 4
         assert "number" in entries["fluid.mu"][1]
-        assert entries["solver.t_end"][1].startswith("cfl")  # constructor message
+        assert entries["solver.cfl"][0] == 6
+        assert entries["solver.cfl"][1].startswith("cfl")  # constructor message
         assert len(exc.value.issues) >= 2
+
+    @pytest.mark.parametrize(
+        "section, entry, issue_key",
+        [
+            ("[pressure]", "alpha = 0.5", "pressure.alpha"),
+            ("[fluid]", "gamma = 0.5", "fluid.gamma"),
+            ("[fluid]", "lambda = -1", "fluid.lambda"),
+            ("[solver]", "cfl = 2", "solver.cfl"),
+        ],
+    )
+    def test_constructor_errors_land_on_the_key_they_name(self, section, entry, issue_key):
+        text = f"[scenario]\nname = traffic_1d\n[grid]\ncells = 40\n{section}\n{entry}\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert [(key, line) for key, line, _ in exc.value.issues] == [(issue_key, 6)]
 
     def test_unknown_key_and_section_flagged(self):
         with pytest.raises(ValidationError) as exc:
@@ -209,7 +227,7 @@ class TestValidationIssues:
         text = CUSTOM_TEXT.replace("eps = 0.001", "eps = -1.0")
         with pytest.raises(ValidationError) as exc:
             parse_config(text)
-        assert "positive" in issues_of(exc)["pressure.kind"]
+        assert "positive" in issues_of(exc)["pressure.eps"]
 
     def test_negative_fields_every_rejected(self):
         with pytest.raises(ValidationError) as exc:
@@ -235,12 +253,11 @@ class TestValidationIssues:
     @pytest.mark.parametrize(
         "entry, issue_key, word",
         [
-            # SolverConfig and Grid constructor errors are reported where
-            # they always were: solver.t_end and grid.cells
+            # SolverConfig and Grid constructor errors land on the key they name
             ("[solver]\nt_end = {}", "solver.t_end", "t_end"),
-            ("[solver]\nsnapshot_every = {}", "solver.t_end", "snapshot_every"),
+            ("[solver]\nsnapshot_every = {}", "solver.snapshot_every", "snapshot_every"),
             ("[output]\nfields_every = {}", "output.fields_every", "finite"),
-            ("[grid]\nextent = {}", "grid.cells", "extents"),
+            ("[grid]\nextent = {}", "grid.extent", "extents"),
             ("[sweep]\nkind = eps\nvalues = 1e-2, {}", "sweep.values", "finite"),
             (TRUNCATED + "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, 2.0:{}", "sweep.pairs", "finite"),
         ],
@@ -313,6 +330,15 @@ class TestSweepValidation:
         with pytest.raises(ValidationError) as exc:
             parse_config(self.BASE + "[sweep]\nkind = eps\nvalues = 0.01, -0.001\n")
         assert "positive" in issues_of(exc)["sweep.values"]
+
+    def test_unbuildable_members_are_named_at_their_pairs(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(KAPPA_DELTA_BAD)
+        issues = exc.value.issues
+        assert {(key, line) for key, line, _ in issues} == {("sweep.pairs", 14)}
+        reasons = sorted(reason for _, _, reason in issues)
+        assert reasons[0].startswith("member delta_0.05: truncated law: kappa must be positive")
+        assert reasons[1].startswith("member delta_1.5: truncated law: delta must lie in (0, 1)")
 
     def test_eps_sweep_needs_values(self):
         with pytest.raises(ValidationError) as exc:

@@ -15,7 +15,7 @@ import pytest
 
 from jamflow.cli import main
 from jamflow.config import SweepPlan, parse_config
-from jamflow.errors import IoError, ValidationError
+from jamflow.errors import IoError, ParameterError, ValidationError
 from jamflow.runner import (
     RunResult,
     SWEEP_COLUMNS,
@@ -45,6 +45,16 @@ CRASH = (
     "[pressure]\nkind = singular\neps = 0.001\nalpha = 3.0\nbeta = 3.0\n"
     "[fluid]\nmu = 0.005\ngamma = 8.0\n"
     "[solver]\nt_end = 0.1\nbarrier_tol = 0.09\nmax_substeps = 3\n"
+)
+
+
+# two of the three kappa:delta pairs cannot build a truncated law
+KAPPA_DELTA_BAD = (
+    "[scenario]\nname = traffic_1d\n"
+    "[grid]\ncells = 40\n"
+    "[pressure]\nkind = truncated\nkappa = 1.0\ncap_k = 5.0\ndelta = 0.1\n"
+    "[solver]\nt_end = 0.01\n"
+    "[sweep]\nkind = kappa_delta\npairs = 1.0:0.1, -1.0:0.05, 1.0:1.5\n"
 )
 
 
@@ -258,14 +268,27 @@ class TestRunSweep:
             res.records[0].pi_l1 for res in outcome.results
         ]
 
-    def test_bad_member_is_tolerated(self, tmp_path):
+    def test_bad_member_fails_the_config(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(self.SWEEP.replace("0.01, 0.001", "0.01, -5.0"))
+        [(key, line, reason)] = exc.value.issues
+        assert (key, line) == ("sweep.values", 12)
+        assert "member eps_-5" in reason and "positive" in reason
+
+    def test_bad_member_of_a_hand_built_plan_raises_before_any_run(self, tmp_path, monkeypatch):
         cfg = parse_config(self.SWEEP)
         cfg = dataclasses.replace(cfg, sweep=SweepPlan(kind="eps", values=(0.01, -5.0)))
+        monkeypatch.setattr("jamflow.runner.advance", None)  # no member may run
+        with pytest.raises(ParameterError, match="eps must be positive"):
+            run_sweep(cfg, out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_exit_code_is_the_worst_members(self, tmp_path):
+        # both members start above the barrier: invalid, not a solver failure
+        cfg = parse_config(self.SWEEP, overrides=("scenario.initial_base=0.9",))
         outcome = run_sweep(cfg, out_dir=tmp_path / "sweep")
-        assert [r.status for r in outcome.rows] == ["ok", "invalid"]
-        assert outcome.exit_code == 3
-        summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
-        assert summary["statuses"] == ["ok", "invalid"]
+        assert [r.status for r in outcome.rows] == ["invalid", "invalid"]
+        assert outcome.exit_code == 2
 
     def test_kappa_delta_sweep_orders_by_delta(self, tmp_path):
         cfg = parse_config(
@@ -323,7 +346,26 @@ class TestCli:
         text = "[scenario]\nname = traffic_1d\n[grid]\ncells = 40\n[pressure]\nalpha = 0.5\n"
         assert main(["check", self.write(tmp_path, text)]) == 2
         err = capsys.readouterr().err
-        assert "pressure.kind" in err and "alpha must exceed 1" in err
+        assert "pressure.alpha (line 6)" in err and "alpha must exceed 1" in err
+
+    def test_unbuildable_sweep_members_are_an_invalid_config(self, tmp_path, capsys):
+        path = self.write(tmp_path, KAPPA_DELTA_BAD)
+        out = tmp_path / "sweep"
+        assert main(["check", path]) == 2
+        assert main(["sweep", path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "member delta_1.5" in err and "member delta_0.05" in err
+        assert not out.exists()
+
+    def test_blocked_member_directory_stops_the_sweep(self, tmp_path, capsys):
+        path = self.write(tmp_path, TestRunSweep.SWEEP)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "eps_0.001").write_text("in the way")
+        assert main(["sweep", path, "--out", str(out), "--quiet"]) == 4
+        assert "eps_0.001" in capsys.readouterr().err
+        assert not list(out.rglob("diagnostics.csv"))
+        assert not (out / "sweep.csv").exists()
 
     def test_check_flags_inadmissible_initial(self, tmp_path, capsys):
         text = CRASH.replace("initial_value = 0.55", "initial_value = 1.2")

@@ -60,7 +60,7 @@ def _files(run_dir):
 def assert_members_match_solo(tmp_path, text, counter):
     cfg = parse_config(text)
     outcome = run_sweep(cfg, out_dir=tmp_path / "sweep")
-    members = runner._member_configs(cfg)
+    members = [(label, value, dataclasses.replace(cfg, law=dataclasses.replace(cfg.law, **f), sweep=None), None) for label, value, f in cfg.sweep.members()]
     assert counter.calls == [len(members)]  # one pass for the whole sweep
     batched_steps = dict(counter.steps)
     for (label, _, member, _), row, res in zip(members, outcome.rows, outcome.results):
