@@ -13,7 +13,6 @@ failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .runner import run_once, run_sweep, build_problem
 from .scenarios import scenario_descriptions
-from .solver import stable_dt
+from .solver import GROWTH_CAP, first_dt, projected_steps, stable_dt, step_floor
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -96,6 +95,8 @@ def cmd_run(args):
             )
         else:
             print(f"{cfg.scenario_name}: status={result.status} ({result.error})")
+        if result.stats is not None:
+            print(_steps_line(result.stats))
         if result.out_dir is not None:
             print(f"artifacts in {result.out_dir}")
     if result.status != "ok" and result.error:
@@ -103,15 +104,25 @@ def cmd_run(args):
     return result.exit_code
 
 
+def _steps_line(stats):
+    line = f"steps: accepted={stats['accepted']} halvings={stats['halvings']}"
+    if stats["accepted"]:
+        line += " dt min={dt_min:.3g} median={dt_median:.3g} max={dt_max:.3g}".format(**stats)
+    return line
+
+
 def cmd_sweep(args):
     cfg = _load(args.config, args.override)
     outcome = run_sweep(cfg, out_dir=args.out)
     if not args.quiet:
-        for row in outcome.rows:
+        for row, result in zip(outcome.rows, outcome.results):
+            steps = ""
+            if result.stats is not None:
+                steps = f" steps={result.stats['accepted']} halvings={result.stats['halvings']}"
             print(
                 f"{row.label}: status={row.status}"
                 f" peak_ratio={row.peak_max_ratio:.6g}"
-                f" int_complementarity={row.int_complementarity:.6g}"
+                f" int_complementarity={row.int_complementarity:.6g}{steps}"
             )
         print(f"artifacts in {outcome.out_dir}")
     return outcome.exit_code
@@ -135,15 +146,21 @@ def cmd_check(args):
     if not report.ok:
         return EXIT_INVALID
     state = make_state(cfg.grid, data.rho0, data.mom0)
+    t_end = cfg.solver.t_end
     try:
-        dt0 = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
+        ceiling = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
+        dt0 = first_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
     except DegenerateState as exc:
         print(f"initial step: {exc}")
         return EXIT_OK
-    print(f"initial stable_dt {dt0:.6g}")
+    print(f"first dt {dt0:.6g}, initial stable_dt {ceiling:.6g}")
+    if dt0 < step_floor(t_end):
+        print("the first dt is below the step floor 1e-14 * t_end: the run stops at once (exit 3)")
+        return EXIT_OK
     print(
-        f"projected steps >= {math.ceil(cfg.solver.t_end / dt0)}"
-        " (ceil(t_end / dt0); a lower bound, dt shrinks as jams stiffen)"
+        f"projected steps {projected_steps(t_end, dt0, ceiling)}"
+        f" (dt grows by at most {GROWTH_CAP:g} per step up to the initial stable_dt;"
+        " more where jams stiffen)"
     )
     return EXIT_OK
 

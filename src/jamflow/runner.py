@@ -25,13 +25,13 @@ from .errors import (
     ValidationError,
 )
 from .scenarios import ManufacturedSolution, build_initial
-from .solver import advance, next_tick
+from .solver import StepStats, advance, next_tick
 
 from pathlib import Path
 
 __version__ = "0.1.0"
 
-STATUS_EXIT = {"ok": 0, "invalid": 2, "solver_failure": 3, "io_failure": 4}
+STATUS_EXIT = {"ok": 0, "invalid": 2, "solver_failure": 3}
 SOLVER_ERRORS = (StepFailure, DegenerateState, NonFinite, BarrierViolation)
 DELTA_C_SENSITIVITY = (0.02, 0.05, 0.1)
 
@@ -45,6 +45,8 @@ class RunResult:
     out_dir: Path | None = None
     wall_time: float = 0.0
     error: str | None = None
+    # StepStats.summary() of the march; None when the run never started
+    stats: dict | None = None
 
     @property
     def exit_code(self):
@@ -133,6 +135,7 @@ def _write_meta(out_dir, cfg, result):
         "wall_time_s": result.wall_time,
         "n_records": len(result.records),
         "final_time": result.records[-1].t if result.records else None,
+        "stats": result.stats,
         "config": config_to_dict(cfg),
         "config_text": serialize_config(cfg),
     }
@@ -251,14 +254,16 @@ def _run_members(runs, started, keep_states=True, write_artifacts=True):
         return members
     cfg = live[0].cfg
     _keep_step_memory()
+    stats = [StepStats() for _ in live]
     outcomes = advance(
         [m.state for m in live], cfg.solver.t_end, [m.cfg.law for m in live], cfg.fluid,
         live[0].barrier, cfg.solver,
-        sink=[m.sink for m in live], sources=[m.sources for m in live],
+        sink=[m.sink for m in live], sources=[m.sources for m in live], stats=stats,
     )
     wall = time.perf_counter() - started
-    for m, outcome in zip(live, outcomes):
+    for m, outcome, counts in zip(live, outcomes, stats):
         result = m.result
+        result.stats = counts.summary()
         if isinstance(outcome, SOLVER_ERRORS):
             result.status = "solver_failure"
             result.error = f"{type(outcome).__name__}: {outcome}"

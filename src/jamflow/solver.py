@@ -1,4 +1,4 @@
-"""Explicit finite-volume scheme for barrier-limited compressible flow.
+"""Finite-volume scheme for barrier-limited compressible flow.
 
 First-order upwind fluxes for mass and momentum, centered differences for
 the pressure force and the viscous stress, forward Euler in time with an
@@ -11,6 +11,21 @@ in the continuum, including for a spatially varying barrier, and is the
 form under which the semi-discrete energy stays under control.  The direct
 form is kept selectable for comparison runs.
 
+In 1D the step is implicit-explicit, so that the viscous rate no longer
+sizes it:
+
+- the viscous stress is backward Euler: after the explicit update one
+  tridiagonal solve per member gives the new velocity;
+- each face's mass flux gains -theta * dt * rho_face * d(enthalpy)/dx with
+  theta = 1/2, the explicit half of the velocity shift of Degond, Hua &
+  Navoret (J. Comput. Phys. 230, 2011), which keeps the energy budget of
+  the longer steps;
+- a step is at most 1.2 times the member's previous accepted step.  The
+  first is the fully explicit step, viscous rate included, of the initial
+  state.
+
+In 2D the viscous stress stays explicit and sizes the step with the rest.
+
 A step that drives the ratio density/barrier past 1 - barrier_tol raises
 and is retried with half the step; accepted states always satisfy the
 constraint strictly.
@@ -21,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +63,11 @@ from .pressure import ratio_law, stack_laws
 VACUUM_REL_FLOOR = 1e-12
 
 FORCE_FORMS = ("potential", "direct")
+
+# share of the explicit velocity shift in the 1D mass flux
+SHIFT_THETA = 0.5
+# a 1D step is at most this multiple of the member's previous accepted step
+GROWTH_CAP = 1.2
 
 
 @dataclass(frozen=True)
@@ -140,10 +161,7 @@ def effective_sound_speed(state, law, params, barrier):
     evaluated per interior cell.  Blows up as the ratio approaches 1,
     which is exactly what throttles the time step near jams.
     """
-    ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
-    err = _sizing_error(ev.rlaw, *ev.ratio_range())
-    if err is not None:
-        raise err
+    ev = _sized_pass(state, law, params, barrier)
     return ev.sound_speed()[ev.inner]
 
 
@@ -189,28 +207,31 @@ class _Pass:
         dpi = self.rlaw._dpi(self.ratio, self.om)
         return np.sqrt(self.params.gamma * self.gas_power() + dpi)
 
-    def rate(self):
+    def rate(self, explicit=False):
         """Largest combined rate of each member (a scalar for one state).
 
         Per cell: the sum over the axes of (|u| + c) / dx, plus the
         momentum-diffusion rate 2 * (2*mu + lam) * sum(1/dx**2) / rho on
-        cells above the vacuum floor.  Evaluated on the ghosted arrays,
-        whose contiguous layout is cheaper to sweep than the interior
-        view, and reduced over the interior.
+        cells above the vacuum floor where the viscous stress is explicit:
+        in 2D, and in 1D only when ``explicit`` asks for the rate of the
+        fully explicit step.  Evaluated on the ghosted arrays, whose
+        contiguous layout is cheaper to sweep than the interior view, and
+        reduced over the interior.
         """
         params, dx = self.params, self.dx
         c = self.sound_speed()
         rate = (np.abs(self.u[0]) + c) / dx[0]
         for ax in range(1, self.dim):
             rate += (np.abs(self.u[ax]) + c) / dx[ax]
-        visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in dx)
-        rate += np.where(self.occupied, visc / self.safe, 0.0)
+        if explicit or self.dim > 1:
+            visc = 2.0 * (2.0 * params.mu + params.lam) * sum(1.0 / h**2 for h in dx)
+            rate += np.where(self.occupied, visc / self.safe, 0.0)
         return rate[self.inner].max(axis=self.space)
 
     def increments(self, force_form):
-        """Forward-Euler increments ``(drho, dmom)`` on interior cells,
-        momentum components first: upwind transport, the pressure force in
-        ``force_form`` and the viscous stress."""
+        """Forward-Euler ``_Increments``: upwind transport, the pressure
+        force in ``force_form`` and, in 2D, the viscous stress; in 1D the
+        shifted mass flux and the implicit viscous coefficient."""
         dim, inner, dx, params, u = self.dim, self.inner, self.dx, self.params, self.u
         rho, mom = self.rho, self.mom
         rho_int = rho[inner]
@@ -227,8 +248,9 @@ class _Pass:
                 dmom[comp] -= _face_div(mom_flux, ax, dim, dx[ax])
 
         g = params.gamma
-        if force_form == "potential":
+        if force_form == "potential" or dim == 1:
             phi = g / (g - 1.0) * self.gas_power() + self.rlaw._enthalpy(self.ratio, self.om)
+        if force_form == "potential":
             for ax in range(dim):
                 dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
         else:
@@ -241,20 +263,45 @@ class _Pass:
 
         mu, lam = params.mu, params.lam
         if dim == 1:
-            dmom[0] += (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx[0])
-        else:
-            dx0, dx1 = dx
-            dmom[0] += (
-                (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
-                + mu * _second_diff(u[0], 1, dim, dx1)
-                + (mu + lam) * _cross_diff(u[1], dx0, dx1)
-            )
-            dmom[1] += (
-                (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
-                + mu * _second_diff(u[1], 0, dim, dx0)
-                + (mu + lam) * _cross_diff(u[0], dx0, dx1)
-            )
-        return drho, dmom
+            # the shift adds -theta * dt * rho_f * dphi/dx to each face's mass
+            # flux, so the density gains dt**2 * theta * d(rho_f dphi/dx)/dx;
+            # the mirrored ghosts zero it on the walls
+            h = dx[0]
+            shift_flux = _face_mean(rho, 0, 1) * (phi[..., 1:] - phi[..., :-1]) / h
+            shift = SHIFT_THETA * _face_div(shift_flux, 0, 1, h)
+            return _Increments(drho, dmom, shift, (2.0 * mu + lam) / h**2)
+        dx0, dx1 = dx
+        dmom[0] += (
+            (2.0 * mu + lam) * _second_diff(u[0], 0, dim, dx0)
+            + mu * _second_diff(u[0], 1, dim, dx1)
+            + (mu + lam) * _cross_diff(u[1], dx0, dx1)
+        )
+        dmom[1] += (
+            (2.0 * mu + lam) * _second_diff(u[1], 1, dim, dx1)
+            + mu * _second_diff(u[1], 0, dim, dx0)
+            + (mu + lam) * _cross_diff(u[0], dx0, dx1)
+        )
+        return _Increments(drho, dmom)
+
+
+class _Increments(NamedTuple):
+    """Forward-Euler rates of one pass on interior cells, momentum
+    components first.
+
+    In 1D, ``shift`` is the density increment of the shifted mass flux per
+    dt**2 and ``viscosity`` the coefficient (2*mu + lam) / dx**2 of the
+    implicit viscous stress; in 2D both are None and the stress is in
+    ``dmom``.
+    """
+
+    drho: np.ndarray
+    dmom: np.ndarray
+    shift: np.ndarray | None = None
+    viscosity: float | None = None
+
+    def members(self, pos):
+        shift = None if self.shift is None else self.shift[pos]
+        return self._replace(drho=self.drho[pos], dmom=self.dmom[:, pos], shift=shift)
 
 
 def _sizing_error(rlaw, lo, hi):
@@ -269,16 +316,16 @@ def _sizing_error(rlaw, lo, hi):
 def _tendency(rho, mom, law, params, barrier, dx, force_form):
     """Each member's largest rate and Euler increments, from one pass.
 
-    Returns ``(errors, rate, drho, dmom)``: per member the error its
+    Returns ``(errors, rate, increments)``: per member the error its
     sizing meets, or None.  When any member has one, nothing else is
-    evaluated and the other three are None.
+    evaluated and the other two are None.
     """
     ev = _Pass(rho, mom, law, params, barrier, dx)
     lo, hi = ev.ratio_range()
     errors = [_sizing_error(ev.rlaw, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     if any(err is not None for err in errors):
-        return errors, None, None, None
-    return (errors, ev.rate(), *ev.increments(force_form))
+        return errors, None, None
+    return errors, ev.rate(), ev.increments(force_form)
 
 
 def _dt_from_rate(worst, cfl):
@@ -289,49 +336,130 @@ def _dt_from_rate(worst, cfl):
     return cfl / worst
 
 
-def stable_dt(state, law, params, barrier, cfl=0.4):
-    """Largest admissible explicit step for the current state.
-
-    Uses a combined rate bound: per cell, the sum of the advective rate
-    (|u| + c) / dx over the axes and the momentum-diffusion rate
-    2 * (2*mu + lam) * sum(1/dx**2) / rho, with dt = cfl / max(rate).
-    Summing the rates (rather than taking the worse of two separate caps)
-    keeps the step inside the mixed advection-diffusion stability region;
-    either mechanism alone recovers the familiar individual limits.
-    """
+def _sized_pass(state, law, params, barrier):
     ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
     err = _sizing_error(ev.rlaw, *ev.ratio_range())
     if err is not None:
         raise err
+    return ev
+
+
+def stable_dt(state, law, params, barrier, cfl=0.4):
+    """Largest admissible step for the current state.
+
+    Uses a combined rate bound: per cell, the sum of the advective rate
+    (|u| + c) / dx over the axes and, in 2D, the momentum-diffusion rate
+    2 * (2*mu + lam) * sum(1/dx**2) / rho, with dt = cfl / max(rate).
+    Summing the rates (rather than taking the worse of two separate caps)
+    keeps the step inside the mixed advection-diffusion stability region;
+    either mechanism alone recovers the familiar individual limits.  The
+    1D viscous stress is implicit and leaves the bound; ``advance`` also
+    caps each 1D step's growth (see ``first_dt``).
+    """
+    ev = _sized_pass(state, law, params, barrier)
     return _dt_from_rate(float(ev.rate()), cfl)
 
 
-def _apply(rho, mom, drho, dmom, dt, barrier, source=None):
-    """Forward-Euler update of ghosted fields from their increments.
+def first_dt(state, law, params, barrier, cfl=0.4):
+    """The step ``advance`` first takes from ``state`` (before clipping to
+    the target time): the fully explicit step, viscous rate included.
 
-    ``dt`` is a float, or an array broadcasting against the leading member
-    axes; ``source`` is ``(mass_rate, momentum_rate)`` on interior cells,
-    momentum components first.  Returns the new ghosted ``(rho, mom)`` and
-    ``(finite, negative, worst ratio)`` per member; the caller decides what
-    a failed check means.
+    In 2D that is ``stable_dt``.  In 1D it seeds the growth cap: later
+    steps grow by at most GROWTH_CAP each up to ``stable_dt``.
     """
-    dim = len(dmom)
+    ev = _sized_pass(state, law, params, barrier)
+    return _dt_from_rate(float(ev.rate(explicit=True)), cfl)
+
+
+def step_floor(t_target):
+    """Smallest step, sized or halved, that a march to ``t_target`` takes."""
+    return 1e-14 * max(t_target, 1e-300)
+
+
+def projected_steps(t_end, first, ceiling):
+    """Steps to ``t_end`` when dt starts at ``first`` and grows by
+    GROWTH_CAP per step up to ``ceiling``, where it stays."""
+    steps, t, dt = 0, 0.0, first
+    while dt < ceiling and t + dt < t_end:
+        t += dt
+        steps += 1
+        dt *= GROWTH_CAP
+    return steps + math.ceil((t_end - t) / min(dt, ceiling))
+
+
+def _thomas(diag, rhs):
+    """Solve tridiag(-1, diag, -1) x = rhs, lists of floats in and out.
+
+    The forward sweep keeps x[i] = g[i] + e[i] * x[i+1]; the backward
+    sweep overwrites g with x.  A plain Python loop beats NumPy's per-call
+    overhead on a few hundred cells.
+    """
+    e, g = [], []
+    ei = gi = 0.0
+    for d, r in zip(diag, rhs):
+        ei = 1.0 / (d - ei)
+        gi = (r + gi) * ei
+        e.append(ei)
+        g.append(gi)
+    x = gi
+    for i in range(len(g) - 2, -1, -1):
+        x = g[i] = g[i] + e[i] * x
+    return g
+
+
+def _viscous_velocity(rho, mom, s):
+    """Backward-Euler viscosity in 1D: u of (diag(rho) + s*T) u = mom for
+    each member, with T = tridiag(-1, 2, -1) and 3 on the two wall rows
+    (the odd ghost mirror).  ``s`` is dt * (2*mu + lam) / dx**2, a float
+    or an array broadcasting against the member axis.
+
+    The system is solved divided by ``s``.  Negative densities, which fail
+    the step anyway, count as vacuum, so the matrix is always positive
+    definite and the solve finite.
+    """
+    diag = np.maximum(rho, 0.0) / s + 2.0
+    diag[..., 0] += 1.0
+    diag[..., -1] += 1.0
+    rhs = mom / s
+    n = rho.shape[-1]
+    u = [_thomas(d, r) for d, r in zip(diag.reshape(-1, n).tolist(), rhs.reshape(-1, n).tolist())]
+    return np.array(u).reshape(rho.shape)
+
+
+def _apply(rho, mom, inc, dt, barrier, source=None):
+    """Update ghosted fields by the increments ``inc`` of a pass.
+
+    Forward Euler, then in 1D the shifted mass flux and the implicit
+    viscous solve.  ``dt`` is a float, or an array broadcasting against the
+    leading member axes; ``source`` is ``(mass_rate, momentum_rate)`` on
+    interior cells, momentum components first, and enters before the
+    solve.  Returns the new ghosted ``(rho, mom)`` and ``(finite, negative,
+    worst ratio)`` per member; the caller decides what a failed check means.
+    """
+    dim = len(inc.dmom)
     space = tuple(range(-dim, 0))
     inner = _interior(dim)
-    new_rho = rho[inner] + dt * drho
-    new_mom = _components_first(mom, dim)[inner] + dt * dmom
+    new_rho = rho[inner] + dt * inc.drho
+    if inc.shift is not None:
+        new_rho = new_rho + (dt * dt) * inc.shift
+    new_mom = _components_first(mom, dim)[inner] + dt * inc.dmom
     if source is not None:
         mass_rate, mom_rate = source
         new_rho = new_rho + dt * mass_rate
         new_mom = new_mom + dt * mom_rate
 
     # min and max carry any NaN and both infinities, so they decide the
-    # density's finiteness and sign in two reductions
+    # density's finiteness and sign in two reductions; the viscous solve
+    # of finite fields is finite
     low, high = new_rho.min(axis=space), new_rho.max(axis=space)
     finite = np.isfinite(low) & np.isfinite(high) & np.isfinite(new_mom).all(axis=(0,) + space)
     negative = low < 0.0
     worst = (new_rho / barrier.interior).max(axis=space)
-    new_mom = np.where(new_rho > vacuum_floor(barrier), new_mom, 0.0)
+    occupied = new_rho > vacuum_floor(barrier)
+    new_mom = np.where(occupied, new_mom, 0.0)
+    if inc.viscosity is not None:
+        u = _viscous_velocity(new_rho, new_mom[0], dt * inc.viscosity)
+        new_mom = np.where(occupied, new_rho * u, 0.0)[None]
 
     out_rho = np.empty_like(rho)
     out_mom = np.empty_like(mom)
@@ -357,7 +485,8 @@ def _step_error(finite, negative, worst, t_new, cfg):
 
 
 def step(state, dt, law, params, barrier, cfg, sources=None):
-    """Advance one forward-Euler step of size ``dt``.
+    """Advance one step of size ``dt``: forward Euler, and in 1D the
+    shifted mass flux and the backward-Euler viscous solve.
 
     Parameters
     ----------
@@ -377,8 +506,8 @@ def step(state, dt, law, params, barrier, cfg, sources=None):
     source = sources(state.t) if sources is not None else None
     ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
     ev.rlaw._check_range(*ev.ratio_range())
-    drho, dmom = ev.increments(cfg.force_form)
-    rho, mom, checks = _apply(state.rho, state.mom, drho, dmom, dt, barrier, source)
+    inc = ev.increments(cfg.force_form)
+    rho, mom, checks = _apply(state.rho, state.mom, inc, dt, barrier, source)
     finite, negative, worst = checks
     err = _step_error(bool(finite), bool(negative), float(worst), state.t + dt, cfg)
     if err is not None:
@@ -435,13 +564,13 @@ class _Stacked:
         self.rho = np.stack([s.rho for s in states])
         self.mom = np.stack([s.mom for s in states])
         self.law = stack_laws(laws, self.grid.dim)
-        self.drho = self.dmom = self.source = None
+        self.inc = self.source = None
 
     def current(self, pos, t):
         return FlowState(t, self.rho[pos].copy(), self.mom[pos].copy(), self.grid)
 
     def size(self, ts):
-        errors, rate, self.drho, self.dmom = _tendency(
+        errors, rate, self.inc = _tendency(
             self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx,
             self.cfg.force_form,
         )
@@ -464,15 +593,13 @@ class _Stacked:
 
     def attempt(self, pos, ts, dts):
         dim = self.grid.dim
-        rho, mom, drho, dmom, source = self.rho, self.mom, self.drho, self.dmom, self.source
+        rho, mom, inc, source = self.rho, self.mom, self.inc, self.source
         if len(pos) < len(self.members):
-            rho, mom, drho, dmom = rho[pos], mom[pos], drho[pos], dmom[:, pos]
+            rho, mom, inc = rho[pos], mom[pos], inc.members(pos)
             if source is not None:
                 source = (source[0][pos], source[1][:, pos])
         dt = np.array([dts[p] for p in pos]).reshape((len(pos),) + (1,) * dim)
-        rho, mom, (finite, negative, worst) = _apply(
-            rho, mom, drho, dmom, dt, self.barrier, source
-        )
+        rho, mom, (finite, negative, worst) = _apply(rho, mom, inc, dt, self.barrier, source)
         errs = [
             _step_error(f, n, w, ts[p] + dts[p], self.cfg)
             for f, n, w, p in zip(finite.tolist(), negative.tolist(), worst.tolist(), pos)
@@ -505,6 +632,31 @@ def next_tick(t, t0, every):
     return t0 + (math.floor(laps) + 1) * every
 
 
+@dataclass
+class StepStats:
+    """Counters of one member's march: its accepted step sizes, in order,
+    and its halvings."""
+
+    dts: list = field(default_factory=list)
+    halvings: int = 0
+
+    def summary(self):
+        """Accepted steps, halvings and the dt range, for ``meta.json``."""
+        # np.median would import numpy.ma, about 1 MB of resident memory
+        dts = sorted(self.dts)
+        n = len(dts)
+        median = None
+        if n:
+            median = dts[n // 2] if n % 2 else 0.5 * (dts[n // 2 - 1] + dts[n // 2])
+        return {
+            "accepted": n,
+            "halvings": self.halvings,
+            "dt_min": dts[0] if n else None,
+            "dt_median": median,
+            "dt_max": dts[-1] if n else None,
+        }
+
+
 def advance(
     state,
     t_target,
@@ -515,6 +667,7 @@ def advance(
     sink=None,
     sources=None,
     step_hook=None,
+    stats=None,
 ):
     """March ``state`` to ``t_target`` with adaptive sub-stepping.
 
@@ -522,14 +675,17 @@ def advance(
     at every ``cfg.snapshot_every`` crossing, and at the final time.  On a
     barrier violation the step is halved and retried up to
     ``cfg.max_substeps`` times before StepFailure; a step, sized or halved,
-    below 1e-14 * ``t_target`` raises DegenerateState.  ``step_hook(prev, new,
-    dt)`` runs after every accepted step (companion-field transport).
+    below 1e-14 * ``t_target`` raises DegenerateState.  A 1D step is at
+    most GROWTH_CAP times the previous accepted one, the first at most
+    ``first_dt``.  ``step_hook(prev, new, dt)`` runs after every accepted
+    step (companion-field transport).  ``stats``, a ``StepStats``, counts
+    the accepted steps and halvings.
 
     Sweep members advance together: pass lists of member states (one grid),
-    laws, sinks, sources and hooks instead (``None`` for any of the last
-    three means none for every member).  Each member keeps its own time,
-    step size, halvings and snapshot ticks, exactly as in its solo run, and
-    the call returns per member either the final state or the
+    laws, sinks, sources, hooks and stats instead (``None`` for any of the
+    last four means none for every member).  Each member keeps its own
+    time, step size, halvings and snapshot ticks, exactly as in its solo
+    run, and the call returns per member either the final state or the
     StepFailure / DegenerateState / NonFinite / BarrierViolation that ended
     it, while the other members go on.  Two or more members are stacked on
     a leading array axis and step through one kernel call.
@@ -537,7 +693,7 @@ def advance(
     if isinstance(state, FlowState):
         [out] = advance(
             [state], t_target, [law], params, barrier, cfg,
-            sink=[sink], sources=[sources], step_hook=[step_hook],
+            sink=[sink], sources=[sources], step_hook=[step_hook], stats=[stats],
         )
         if isinstance(out, Exception):
             raise out
@@ -547,14 +703,24 @@ def advance(
     sinks = sink or [None] * n
     hooks = step_hook or [None] * n
     sources = sources or [None] * n
+    stats = [s if s is not None else StepStats() for s in stats or [None] * n]
     if any(t_target < s.t for s in state):
         raise ParameterError("t_target precedes the state time")
     t = [s.t for s in state]
     t0 = list(t)
     tick = cfg.snapshot_every
     t_eps = 1e-12 * max(1.0, abs(t_target))
-    dt_floor = 1e-14 * max(t_target, 1e-300)
+    dt_floor = step_floor(t_target)
     outcome = [None] * n
+    capped = barrier.grid.dim == 1
+    # the largest next step of each member
+    cap = [math.inf] * n
+    if capped:
+        for m in range(n):
+            try:
+                cap[m] = first_dt(state[m], law[m], params, barrier, cfg.cfl)
+            except (DegenerateState, BarrierViolation):
+                pass  # the first sizing meets it too
     group = (_Solo if n == 1 else _Stacked)(state, law, params, barrier, cfg, sources)
 
     def emit(m, s):
@@ -589,7 +755,7 @@ def advance(
         dts = group.size(ts)
         for p, m in enumerate(live):
             if dts[p] is not None and not isinstance(dts[p], Exception):
-                dts[p] = min(dts[p], t_target - ts[p])
+                dts[p] = min(dts[p], cap[m], t_target - ts[p])
                 if dts[p] < dt_floor:
                     dts[p] = DegenerateState(
                         f"time step {dts[p]:.3e} underflowed at t={ts[p]:.6g}"
@@ -628,9 +794,13 @@ def advance(
         prev_rho, prev_mom = group.rho, group.mom
         group.rho, group.mom = new_rho, new_mom
         for p, m in enumerate(live):
+            stats[m].halvings += retries[p]
             if outcome[m] is not None:
                 continue
             t[m] = ts[p] + dts[p]
+            stats[m].dts.append(dts[p])
+            if capped:
+                cap[m] = GROWTH_CAP * dts[p]
             if hooks[m] is not None:
                 prev = FlowState(ts[p], prev_rho[p], prev_mom[p], group.grid)
                 hooks[m](prev, group.current(p, t[m]), dts[p])

@@ -15,14 +15,17 @@ import pytest
 
 from jamflow.cli import main
 from jamflow.config import SweepPlan, parse_config
+from jamflow.domain import make_state
 from jamflow.errors import IoError, ParameterError, ValidationError
 from jamflow.runner import (
     RunResult,
     SWEEP_COLUMNS,
+    build_problem,
     prepare_out_dir,
     run_once,
     run_sweep,
 )
+from jamflow.solver import advance, first_dt, projected_steps, stable_dt
 
 TINY = (
     "[scenario]\nname = traffic_1d\n"
@@ -92,6 +95,19 @@ class TestRunOnce:
         assert len(snaps) >= 3  # at least one mid-run field dump
         for p in (out / "snapshots").glob("*.csv"):
             assert p.with_suffix(".json").is_file()
+
+    def test_meta_carries_the_step_counts(self, tmp_path):
+        # dt starts at the fully explicit step, 3.4e-4, and grows by at most
+        # 1.2 per step up to the inviscid bound, 2.8e-3; step counts are
+        # deterministic
+        cfg = parse_config("[scenario]\nname = traffic_1d\n[solver]\nt_end = 0.1\n")
+        res = run_once(cfg, out_dir=tmp_path / "run", keep_states=False)
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert meta["stats"] == res.stats
+        assert (res.stats["accepted"], res.stats["halvings"]) == (70, 0)
+        assert res.stats["dt_min"] == pytest.approx(3.404163987790918e-4, rel=1e-9)
+        assert res.stats["dt_median"] == pytest.approx(1.0830021561027772e-3, rel=1e-9)
+        assert res.stats["dt_max"] == pytest.approx(2.7792465880842224e-3, rel=1e-9)
 
     def test_diagnostics_csv_reproduces_records_exactly(self, tmp_path):
         cfg = parse_config(TINY)
@@ -314,7 +330,6 @@ class TestExitCodes:
         assert RunResult(status="ok").exit_code == 0
         assert RunResult(status="invalid").exit_code == 2
         assert RunResult(status="solver_failure").exit_code == 3
-        assert RunResult(status="io_failure").exit_code == 4
 
 
 class TestCli:
@@ -390,6 +405,15 @@ class TestCli:
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["n_records"] == 1
 
+    def test_run_and_sweep_print_their_step_counts(self, tmp_path, capsys):
+        assert main(["run", self.write(tmp_path, TINY), "--out", str(tmp_path / "out")]) == 0
+        assert "steps: accepted=5 halvings=0 dt min=" in capsys.readouterr().out
+        text = TINY + "[sweep]\nkind = eps\nvalues = 0.01, 0.001\n"
+        assert main(["sweep", self.write(tmp_path, text), "--out", str(tmp_path / "sw")]) == 0
+        out = capsys.readouterr().out
+        assert "eps_0.01: status=ok" in out and "steps=6 halvings=0\neps_0.001:" in out
+        assert "eps_0.001: status=ok" in out and "steps=5 halvings=0\nartifacts" in out
+
     def test_bad_override_is_invalid(self, tmp_path):
         code = main(
             ["run", self.write(tmp_path, TINY), "--override", "nonsense", "--quiet"]
@@ -408,16 +432,28 @@ class TestCli:
         ):
             assert name in out
 
-    def test_stiff_lane_fails_fast(self, tmp_path, capsys):
-        # at eps=1e-6 the explicit step halves below 1e-14 * t_end near
-        # t=0.114; the run ends there instead of creeping on with
-        # ever-smaller halved steps
+    def test_stiff_lane_does_not_spin(self, tmp_path, capsys):
+        # at eps=1e-6 the congestion sound speed sizes the step (about 9200
+        # of them since the viscous stress went implicit); whatever the
+        # scheme, the run must end within a minute, finished or failed
         text = "[scenario]\nname = lane_narrowing_1d\n[pressure]\neps = 1e-6\n"
+        start = time.perf_counter()
+        code = main(["run", self.write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code in (0, 3)
+        assert time.perf_counter() - start < 60.0
+
+    def test_vacuum_tail_fails_fast(self, tmp_path, capsys):
+        # the 1/rho viscous rate of the near-empty tail cells puts the first
+        # step near 2e-15, below the floor 1e-14 * t_end: the run stops at
+        # once instead of creeping on
+        text = "[scenario]\nname = traffic_1d\ninitial_base = 0\ninitial_amp = 0.7\n"
         start = time.perf_counter()
         code = main(["run", self.write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 3
         assert time.perf_counter() - start < 60.0
-        assert "underflowed after" in capsys.readouterr().err
+        assert "underflowed at t=0" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["stats"]["accepted"] == 0
 
     def cli(self, *args, timeout=120, flags=(), env=SRC_ENV):
         """Run the CLI entry point in a fresh interpreter.
@@ -505,30 +541,47 @@ class TestCli:
 
 
 class TestCheckStepSize:
-    def projected_steps(self, tmp_path, capsys, text):
+    def check(self, tmp_path, capsys, text):
         path = tmp_path / "check.ini"
         path.write_text(text)
         assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out
-        dt0 = float(re.search(r"initial stable_dt (\S+)", out).group(1))
-        steps = int(re.search(r"projected steps >= (\d+)", out).group(1))
-        return dt0, steps
+        dt0 = float(re.search(r"first dt (\S+),", out).group(1))
+        ceiling = float(re.search(r"initial stable_dt (\S+)", out).group(1))
+        return out, dt0, ceiling
 
     def test_preset_prints_a_finite_projection(self, tmp_path, capsys):
-        dt0, steps = self.projected_steps(tmp_path, capsys, "[scenario]\nname = traffic_1d\n")
-        assert 0.0 < dt0 < 1.0
-        assert steps == math.ceil(1.0 / dt0)
-        assert 1000 < steps < 10000
+        text = "[scenario]\nname = traffic_1d\n"
+        out, dt0, ceiling = self.check(tmp_path, capsys, text)
+        steps = int(re.search(r"projected steps (\d+)", out).group(1))
+        cfg = parse_config(text)
+        barrier, data, _, _ = build_problem(cfg)
+        state = make_state(cfg.grid, data.rho0, data.mom0)
+        args = (cfg.law, cfg.fluid, barrier)
+        # the printed first dt is the one the run takes
+        dts = []
+        advance(state, 0.01, *args, cfg.solver, step_hook=lambda prev, new, dt: dts.append(dt))
+        assert dts[0] == pytest.approx(dt0, rel=1e-5)
+        assert dts[0] == first_dt(state, *args) < stable_dt(state, *args)
+        assert ceiling == pytest.approx(stable_dt(state, *args), rel=1e-5)
+        # the projection grows dt from dt0 by 1.2 per step up to stable_dt
+        assert steps == projected_steps(1.0, dts[0], stable_dt(state, *args))
+        assert math.ceil(1.0 / ceiling) < steps < math.ceil(1.0 / dt0)
+        # and stiffening jams only add steps to it
+        res = run_once(cfg, keep_states=False, write_artifacts=False)
+        assert steps <= res.stats["accepted"]
 
     def test_vacuum_tail_projects_an_unrunnable_step_count(self, tmp_path, capsys):
-        # the 1/rho viscous rate of the near-empty tail cells pins dt near 2e-15
-        dt0, steps = self.projected_steps(
+        # the 1/rho viscous rate of the near-empty tail cells pins the first
+        # dt near 2e-15, below the step floor: no projection is printed
+        out, dt0, ceiling = self.check(
             tmp_path,
             capsys,
             "[scenario]\nname = traffic_1d\ninitial_base = 0\ninitial_amp = 0.7\n",
         )
-        assert dt0 < 1e-14
-        assert steps > 1e12
+        assert dt0 < 1e-14 < ceiling
+        assert "below the step floor 1e-14 * t_end: the run stops at once (exit 3)" in out
+        assert "projected steps" not in out
 
     def test_infinite_horizon_is_an_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "check.ini"

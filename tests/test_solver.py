@@ -1,5 +1,6 @@
 """Time stepping: stability sizing, fixed points, conservation, retries."""
 
+import math
 import warnings
 
 import numpy as np
@@ -22,8 +23,13 @@ from jamflow.errors import (
 from jamflow.pressure import BarotropicLaw, FluidParams, SingularLaw, SteepnessWarning
 from jamflow.solver import (
     SolverConfig,
+    StepStats,
+    _Increments,
+    _apply,
+    _viscous_velocity,
     advance,
     effective_sound_speed,
+    first_dt,
     next_tick,
     stable_dt,
     step,
@@ -40,6 +46,13 @@ def make_singular(eps, alpha, beta):
 
 FLUID = FluidParams(mu=1e-2, lam=0.0, gamma=2.0)
 SOFT_LAW = BarotropicLaw(1e-6, 2.0)
+
+
+def wall_laplacian(n):
+    """tridiag(-1, 2, -1) with 3 on the wall rows, dense."""
+    lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap[0, 0] = lap[-1, -1] = 3.0
+    return lap
 
 
 def uniform_state(grid, rho=0.5, vel=0.0):
@@ -91,6 +104,8 @@ class TestSoundSpeedAndDt:
             effective_sound_speed(state, make_singular(1e-3, 2.0, 4.0), FLUID, barrier)
 
     def test_stable_dt_matches_hand_formula(self):
+        # in 1D the viscous stress is implicit: the bound is advective and
+        # acoustic only, and the viscous rate enters the first step alone
         grid = Grid((1.0,), (50,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         rho, vel = 0.5, 0.3
@@ -98,9 +113,29 @@ class TestSoundSpeedAndDt:
         law = BarotropicLaw(1.0, 2.0)
         c = np.sqrt(FLUID.gamma * rho ** (FLUID.gamma - 1.0) + 2.0 * rho)
         dx = grid.dx[0]
-        rate = (abs(vel) + c) / dx + 2.0 * (2.0 * FLUID.mu + FLUID.lam) / dx**2 / rho
-        expected = 0.4 / rate
-        assert stable_dt(state, law, FLUID, barrier) == pytest.approx(expected, rel=1e-12)
+        wave = (abs(vel) + c) / dx
+        visc = 2.0 * (2.0 * FLUID.mu + FLUID.lam) / dx**2 / rho
+        assert stable_dt(state, law, FLUID, barrier) == pytest.approx(0.4 / wave, rel=1e-12)
+        assert first_dt(state, law, FLUID, barrier) == pytest.approx(
+            0.4 / (wave + visc), rel=1e-12
+        )
+
+    def test_stable_dt_matches_hand_formula_2d(self):
+        # the 2D viscous stress stays explicit, and its rate stays in the bound
+        grid = Grid((1.0, 2.0), (20, 25))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        rho, vel = 0.5, 0.3
+        state = uniform_state(grid, rho=rho, vel=vel)
+        law = BarotropicLaw(1.0, 2.0)
+        c = np.sqrt(FLUID.gamma * rho ** (FLUID.gamma - 1.0) + 2.0 * rho)
+        dx, dy = grid.dx
+        rate = (
+            (abs(vel) + c) / dx + c / dy
+            + 2.0 * (2.0 * FLUID.mu + FLUID.lam) * (1.0 / dx**2 + 1.0 / dy**2) / rho
+        )
+        dt = stable_dt(state, law, FLUID, barrier)
+        assert dt == pytest.approx(0.4 / rate, rel=1e-12)
+        assert first_dt(state, law, FLUID, barrier) == dt
 
     def test_stable_dt_scales_with_cfl(self):
         grid = Grid((1.0,), (50,))
@@ -205,6 +240,9 @@ class TestStep:
         assert np.min(center) < 0.0
 
     def test_sources_enter_at_first_order(self):
+        # the sources enter the explicit update, ahead of the implicit
+        # viscous solve: the density takes dt * 0.7, and the velocity solves
+        # (diag(rho) + s*T) u = dt * -0.2, whose no-slip wall rows bend it
         grid = Grid((1.0,), (32,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         state = uniform_state(grid, rho=0.5)
@@ -220,8 +258,72 @@ class TestStep:
         dt = 1e-3
         new = step(state, dt, SOFT_LAW, FLUID, barrier, cfg, sources=sources)
         assert seen == [0.0]
-        np.testing.assert_allclose(new.rho_interior, 0.5 + dt * 0.7, rtol=1e-14)
-        np.testing.assert_allclose(new.mom_interior, dt * -0.2, rtol=1e-13)
+        rho = 0.5 + dt * 0.7
+        np.testing.assert_allclose(new.rho_interior, rho, rtol=1e-14)
+        s = dt * (2.0 * FLUID.mu + FLUID.lam) / grid.dx[0] ** 2
+        u = np.linalg.solve(rho * np.eye(32) + s * wall_laplacian(32), np.full(32, dt * -0.2))
+        np.testing.assert_allclose(new.mom_interior[0], rho * u, rtol=1e-12)
+        assert np.ptp(u) > 1e-3 * abs(u).max()  # the walls hold it back
+
+    def test_viscous_solve_matches_a_dense_solve(self):
+        # a random stacked state: three members, each with its own dt, a
+        # near-vacuum cell and a density spread of three decades
+        rng = np.random.default_rng(7)
+        n = 40
+        rho = 10.0 ** rng.uniform(-3.0, 0.0, (3, n))
+        rho[1, 5] = 0.0
+        mom = rng.normal(size=(3, n))
+        s = np.array([1e-3, 0.7, 40.0])[:, None]
+        u = _viscous_velocity(rho, mom, s)
+        for m in range(3):
+            dense = np.linalg.solve(np.diag(rho[m]) + s[m, 0] * wall_laplacian(n), mom[m])
+            np.testing.assert_allclose(u[m], dense, rtol=0.0, atol=1e-12 * abs(dense).max())
+
+    def test_implicit_viscosity_dissipates_at_long_steps(self):
+        # only the viscous stress acts; at 100 times the explicit viscous
+        # step backward Euler still takes kinetic energy out at every step,
+        # while forward Euler at that step blows it up
+        grid = Grid((1.0,), (64,))
+        x = grid.centers(0)
+        rho0 = 0.5 + 0.4 * np.sin(3 * np.pi * x)
+        u0 = np.random.default_rng(3).normal(size=64)  # every wavelength
+        state = make_state(grid, rho0, (rho0 * u0)[None, :])
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        nu = 2.0 * FLUID.mu + FLUID.lam
+        h = grid.dx[0]
+        dt = 100.0 * h**2 * rho0.min() / (2.0 * nu)
+        zero = np.zeros(64)
+        inc = _Increments(zero, zero[None], zero, nu / h**2)
+
+        def kinetic(mom, rho):
+            return 0.5 * np.sum(mom[0, 1:-1] ** 2 / rho[1:-1])
+
+        rho, mom = state.rho, state.mom
+        energy = [kinetic(mom, rho)]
+        for _ in range(30):
+            rho, mom, _ = _apply(rho, mom, inc, dt, barrier)
+            energy.append(kinetic(mom, rho))
+        assert np.array_equal(rho, state.rho)
+        assert all(b < a for a, b in zip(energy, energy[1:]))
+        assert energy[-1] < 1e-3 * energy[0]
+
+        u = state.mom[0] / state.rho
+        lap = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+        explicit = state.mom[0, 1:-1] + dt * nu * lap
+        assert 0.5 * np.sum(explicit**2 / rho0) > 100.0 * energy[0]
+
+    def test_shifted_mass_flux_conserves_mass_and_flattens_a_bump(self):
+        # at rest only the shift moves mass: down the enthalpy gradient, so
+        # the bump's peak drops, with walls that let nothing out
+        grid = Grid((1.0,), (64,))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        x = grid.centers(0)
+        rho0 = 0.4 + 0.3 * np.exp(-((x - 0.5) / 0.1) ** 2)
+        state = make_state(grid, rho0, np.zeros((1, 64)))
+        law = make_singular(1e-3, 2.0, 4.0)
+        new = step(state, 1e-3, law, FLUID, barrier, SolverConfig(t_end=1.0))
+        assert new.rho_interior.max() < rho0.max()
+        assert np.sum(new.rho_interior) == pytest.approx(np.sum(rho0), rel=1e-15)
 
     def test_negative_density_raises_barrier_violation(self):
         grid = Grid((1.0,), (32,))
@@ -307,6 +409,30 @@ class TestAdvance:
         masses = [r.mass for r in records]
         np.testing.assert_allclose(masses, masses[0], rtol=1e-13)
 
+    def test_1d_steps_grow_by_at_most_the_cap(self):
+        # solo and stacked: the first step is the fully explicit one, and
+        # every accepted step is at most 1.2 times the one before it
+        grid = Grid((1.0,), (60,))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        x = grid.centers(0)
+        rho0 = 0.3 + 0.5 * np.exp(-((x - 0.3) / 0.08) ** 2)
+        state = make_state(grid, rho0, (0.5 * rho0)[None, :])
+        laws = [make_singular(1e-2, 2.0, 4.0), make_singular(1e-4, 2.0, 4.0)]
+        cfg = SolverConfig(t_end=0.3)
+        trails = [[], []]
+        hooks = [lambda prev, new, dt, trail=trail: trail.append(dt) for trail in trails]
+        advance([state, state.copy()], 0.3, laws, FLUID, barrier, cfg, step_hook=hooks)
+        solo = []
+        advance(state, 0.3, laws[0], FLUID, barrier, cfg,
+                step_hook=lambda prev, new, dt: solo.append(dt))
+        assert solo == trails[0]
+        for law, dts in zip(laws, trails):
+            assert dts[0] == first_dt(state, law, FLUID, barrier)
+            ratios = np.array(dts[1:]) / np.array(dts[:-1])
+            assert ratios.max() <= 1.2
+            assert np.isclose(ratios, 1.2, rtol=1e-12).any()  # the cap binds
+            assert len(dts) < 0.3 / dts[0]
+
     def test_rejects_backward_target(self):
         grid = Grid((1.0,), (16,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
@@ -349,13 +475,17 @@ class TestAdvance:
             return dt
 
         monkeypatch.setattr("jamflow.solver.stable_dt", inflated)
+        # the growth cap's seed would otherwise hold the first step down
+        monkeypatch.setattr("jamflow.solver.first_dt", lambda *args: math.inf)
         cfg = SolverConfig(t_end=0.2, max_substeps=40)
         dts = []
+        stats = StepStats()
         final = advance(state, 0.2, law, FLUID, barrier, cfg,
-                        step_hook=lambda prev, new, dt: dts.append(dt))
+                        step_hook=lambda prev, new, dt: dts.append(dt), stats=stats)
         assert final.t == pytest.approx(0.2, abs=1e-12)
         assert sum(dts) == pytest.approx(0.2, abs=1e-12)
         assert dts[0] < 0.9 * calls["first"]  # halving actually happened
+        assert stats.halvings > 0 and stats.dts == dts
         assert np.all(final.rho_interior >= 0.0)
 
     def test_step_failure_when_retries_exhausted(self):
