@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 
 from .config import parse_config_file
 from .domain import make_state, validate_initial
@@ -145,24 +146,38 @@ def cmd_check(args):
     print(report.summary())
     if not report.ok:
         return EXIT_INVALID
+    # the initial data does not depend on the law, so sweep members share it
     state = make_state(cfg.grid, data.rho0, data.mom0)
-    t_end = cfg.solver.t_end
+    if cfg.sweep is None:
+        _print_projection("", state, cfg.law, cfg, barrier)
+    else:
+        for label, _, law_fields in cfg.sweep.members():
+            _print_projection(f"{label}: ", state, replace(cfg.law, **law_fields), cfg, barrier)
+    return EXIT_OK
+
+
+def _print_projection(prefix, state, law, cfg, barrier):
+    """Print the first dt, initial stable_dt and projected steps of ``law``."""
+    solver, args = cfg.solver, (state, law, cfg.fluid, barrier, cfg.solver.cfl)
     try:
-        ceiling = stable_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
-        dt0 = first_dt(state, cfg.law, cfg.fluid, barrier, cfg.solver.cfl)
+        ceiling, dt0 = stable_dt(*args), first_dt(*args)
     except DegenerateState as exc:
-        print(f"initial step: {exc}")
-        return EXIT_OK
-    print(f"first dt {dt0:.6g}, initial stable_dt {ceiling:.6g}")
-    if dt0 < step_floor(t_end):
-        print("the first dt is below the step floor 1e-14 * t_end: the run stops at once (exit 3)")
-        return EXIT_OK
+        print(f"{prefix}initial step: {exc}")
+        return
+    print(f"{prefix}first dt {dt0:.6g}, initial stable_dt {ceiling:.6g}")
+    if dt0 < step_floor(solver.t_end):
+        print(
+            f"{prefix}the first dt is below the step floor 1e-14 * t_end:"
+            " the run stops at once (exit 3)"
+        )
+        return
     print(
-        f"projected steps {projected_steps(t_end, dt0, ceiling)}"
+        f"{prefix}projected steps {projected_steps(solver.t_end, dt0, ceiling)}"
         f" (dt grows by at most {GROWTH_CAP:g} per step up to the initial stable_dt;"
         " more where jams stiffen)"
     )
-    return EXIT_OK
+    if ceiling > solver.snapshot_every:
+        print(f"{prefix}initial stable_dt exceeds snapshot_every: some ticks will be skipped")
 
 
 def main(argv=None):

@@ -9,8 +9,8 @@ The spec sections (barrier, initial profile, pressure, fluid, solver) are
 read and written from the fields of their dataclasses: a ``kind`` picks the
 class from ``PROFILE_KINDS`` or ``LAW_KINDS``, a field without a default is
 a required key, and its type picks the reader.  Field metadata carries the
-rest: an INI key that differs from the field name, a config default the
-dataclass cannot hold, and the allowed values of a string field.
+rest: an INI key that differs from the field name and a config default the
+dataclass cannot hold.
 """
 
 from __future__ import annotations
@@ -223,8 +223,6 @@ def _read_field(sec, f, dim):
     key = _key(f)
     if f.type == "int":
         return sec.intval(key, default, required)
-    if f.type == "str":
-        return sec.choice(key, set(f.metadata["choices"]), default, required)
     if f.type.startswith("tuple"):
         return _broadcast(sec.floats(key, default, required), dim, sec, key)
     return sec.floatval(key, default, required)

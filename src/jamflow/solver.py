@@ -2,14 +2,13 @@
 
 First-order upwind fluxes for mass and momentum, centered differences for
 the pressure force and the viscous stress, forward Euler in time with an
-adaptive step.  The pressure force is applied in potential form by default:
+adaptive step.  The pressure force is applied in potential form:
 
     density * grad( gas enthalpy + congestion enthalpy(ratio) )
 
 which agrees with grad(gas pressure) + barrier * grad(congestion pressure)
 in the continuum, including for a spatially varying barrier, and is the
-form under which the semi-discrete energy stays under control.  The direct
-form is kept selectable for comparison runs.
+form under which the semi-discrete energy stays under control.
 
 In 1D the step is implicit-explicit, so that the viscous rate no longer
 sizes it:
@@ -62,8 +61,6 @@ from .pressure import ratio_law, stack_laws
 # cells below this fraction of the barrier maximum carry no momentum
 VACUUM_REL_FLOOR = 1e-12
 
-FORCE_FORMS = ("potential", "direct")
-
 # share of the explicit velocity shift in the 1D mass flux
 SHIFT_THETA = 0.5
 # a 1D step is at most this multiple of the member's previous accepted step
@@ -77,7 +74,6 @@ class SolverConfig:
     barrier_tol: float = 1e-6
     max_substeps: int = 40
     snapshot_every: float = 0.01
-    force_form: str = field(default="potential", metadata={"choices": FORCE_FORMS})
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -95,10 +91,6 @@ class SolverConfig:
             raise ParameterError(f"t_end must be nonnegative, got {self.t_end}", "t_end")
         if self.snapshot_every <= 0.0:
             raise ParameterError("snapshot_every must be positive", "snapshot_every")
-        if self.force_form not in FORCE_FORMS:
-            raise ParameterError(
-                f"force_form must be one of {FORCE_FORMS}, got {self.force_form!r}", "force_form"
-            )
 
 
 # The kernels below take ghosted fields with an optional leading member
@@ -181,7 +173,7 @@ class _Pass:
         self.dim = dim = len(dx)
         self.space = tuple(range(-dim, 0))
         self.inner = _interior(dim)
-        self.dx, self.params, self.barrier = dx, params, barrier
+        self.dx, self.params = dx, params
         self.rlaw = ratio_law(law)
         self.rho, self.mom = rho, _components_first(mom, dim)
         self.occupied = rho > vacuum_floor(barrier)
@@ -228,10 +220,10 @@ class _Pass:
             rate += np.where(self.occupied, visc / self.safe, 0.0)
         return rate[self.inner].max(axis=self.space)
 
-    def increments(self, force_form):
-        """Forward-Euler ``_Increments``: upwind transport, the pressure
-        force in ``force_form`` and, in 2D, the viscous stress; in 1D the
-        shifted mass flux and the implicit viscous coefficient."""
+    def increments(self):
+        """Forward-Euler ``_Increments``: upwind transport, the potential
+        pressure force and, in 2D, the viscous stress; in 1D the shifted
+        mass flux and the implicit viscous coefficient."""
         dim, inner, dx, params, u = self.dim, self.inner, self.dx, self.params, self.u
         rho, mom = self.rho, self.mom
         rho_int = rho[inner]
@@ -248,18 +240,9 @@ class _Pass:
                 dmom[comp] -= _face_div(mom_flux, ax, dim, dx[ax])
 
         g = params.gamma
-        if force_form == "potential" or dim == 1:
-            phi = g / (g - 1.0) * self.gas_power() + self.rlaw._enthalpy(self.ratio, self.om)
-        if force_form == "potential":
-            for ax in range(dim):
-                dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
-        else:
-            gas = params.pressure(rho)
-            cong = self.rlaw._pi(self.ratio, self.om)
-            bar_int = self.barrier.interior
-            for ax in range(dim):
-                dmom[ax] -= _centered_grad(gas, ax, dim, dx[ax])
-                dmom[ax] -= bar_int * _centered_grad(cong, ax, dim, dx[ax])
+        phi = g / (g - 1.0) * self.gas_power() + self.rlaw._enthalpy(self.ratio, self.om)
+        for ax in range(dim):
+            dmom[ax] -= rho_int * _centered_grad(phi, ax, dim, dx[ax])
 
         mu, lam = params.mu, params.lam
         if dim == 1:
@@ -313,7 +296,7 @@ def _sizing_error(rlaw, lo, hi):
     return None
 
 
-def _tendency(rho, mom, law, params, barrier, dx, force_form):
+def _tendency(rho, mom, law, params, barrier, dx):
     """Each member's largest rate and Euler increments, from one pass.
 
     Returns ``(errors, rate, increments)``: per member the error its
@@ -325,7 +308,7 @@ def _tendency(rho, mom, law, params, barrier, dx, force_form):
     errors = [_sizing_error(ev.rlaw, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
     if any(err is not None for err in errors):
         return errors, None, None
-    return errors, ev.rate(), ev.increments(force_form)
+    return errors, ev.rate(), ev.increments()
 
 
 def _dt_from_rate(worst, cfl):
@@ -506,7 +489,7 @@ def step(state, dt, law, params, barrier, cfg, sources=None):
     source = sources(state.t) if sources is not None else None
     ev = _Pass(state.rho, state.mom, law, params, barrier, state.grid.dx)
     ev.rlaw._check_range(*ev.ratio_range())
-    inc = ev.increments(cfg.force_form)
+    inc = ev.increments()
     rho, mom, checks = _apply(state.rho, state.mom, inc, dt, barrier, source)
     finite, negative, worst = checks
     err = _step_error(bool(finite), bool(negative), float(worst), state.t + dt, cfg)
@@ -571,8 +554,7 @@ class _Stacked:
 
     def size(self, ts):
         errors, rate, self.inc = _tendency(
-            self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx,
-            self.cfg.force_form,
+            self.rho, self.mom, self.law, self.params, self.barrier, self.grid.dx
         )
         if rate is None:
             return errors  # None for the members that were not sized
@@ -672,14 +654,15 @@ def advance(
     """March ``state`` to ``t_target`` with adaptive sub-stepping.
 
     Emits a diagnostics record through ``sink(state, record)`` at the start,
-    at every ``cfg.snapshot_every`` crossing, and at the final time.  On a
-    barrier violation the step is halved and retried up to
-    ``cfg.max_substeps`` times before StepFailure; a step, sized or halved,
-    below 1e-14 * ``t_target`` raises DegenerateState.  A 1D step is at
-    most GROWTH_CAP times the previous accepted one, the first at most
-    ``first_dt``.  ``step_hook(prev, new, dt)`` runs after every accepted
-    step (companion-field transport).  ``stats``, a ``StepStats``, counts
-    the accepted steps and halvings.
+    after the first accepted step that reaches each ``cfg.snapshot_every``
+    tick, and at the final time: at most one record per step, so a step
+    that spans several ticks records once.  On a barrier violation the step
+    is halved and retried up to ``cfg.max_substeps`` times before
+    StepFailure; a step, sized or halved, below 1e-14 * ``t_target`` raises
+    DegenerateState.  A 1D step is at most GROWTH_CAP times the previous
+    accepted one, the first at most ``first_dt``.  ``step_hook(prev, new,
+    dt)`` runs after every accepted step (companion-field transport).
+    ``stats``, a ``StepStats``, counts the accepted steps and halvings.
 
     Sweep members advance together: pass lists of member states (one grid),
     laws, sinks, sources, hooks and stats instead (``None`` for any of the

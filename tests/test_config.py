@@ -190,6 +190,14 @@ class TestValidationIssues:
             parse_config("[scenario]\nname = traffic_1d\n[warp]\nx = 1\n")
         assert "unknown section" in issues_of(exc)["warp"]
 
+    @pytest.mark.parametrize("form", ["potential", "direct"])
+    def test_force_form_is_an_unknown_key(self, form):
+        # the pressure force has one form, so there is no key to pick it
+        text = f"[scenario]\nname = traffic_1d\n[solver]\ncfl = 0.3\nforce_form = {form}\n"
+        with pytest.raises(ValidationError) as exc:
+            parse_config(text)
+        assert exc.value.issues == [("solver.force_form", 5, "unknown key")]
+
     def test_custom_requires_all_sections(self):
         with pytest.raises(ValidationError) as exc:
             parse_config("[scenario]\nname = custom\n")

@@ -571,6 +571,36 @@ class TestCheckStepSize:
         res = run_once(cfg, keep_states=False, write_artifacts=False)
         assert steps <= res.stats["accepted"]
 
+    def test_sweep_projects_each_member(self, tmp_path, capsys):
+        # neither member runs the preset's eps = 1e-3, so its projection
+        # would describe no run of the sweep
+        text = "[scenario]\nname = lane_narrowing_1d\n[sweep]\nkind = eps\nvalues = 1e-1, 1e-6\n"
+        out, _, _ = self.check(tmp_path, capsys, text)
+        cfg = parse_config(text)
+        barrier, data, _, _ = build_problem(cfg)
+        state = make_state(cfg.grid, data.rho0, data.mom0)
+        projections = re.findall(r"^(\S+): projected steps (\d+)", out, re.M)
+        assert [label for label, _ in projections] == ["eps_0.1", "eps_1e-06"]
+        assert len(re.findall("projected steps", out)) == 2
+        for (label, steps), (_, _, law_fields) in zip(projections, cfg.sweep.members()):
+            args = (dataclasses.replace(cfg.law, **law_fields), cfg.fluid, barrier)
+            dt0 = first_dt(state, *args)
+            assert f"{label}: first dt {dt0:.6g}," in out
+            assert int(steps) == projected_steps(cfg.solver.t_end, dt0, stable_dt(state, *args))
+        # the stiffer member's projection differs from the base law's
+        assert [int(s) for _, s in projections] == [1579, 149]
+
+    def test_long_steps_warn_of_skipped_ticks(self, tmp_path, capsys):
+        text = "[scenario]\nname = traffic_1d\n"
+        out, _, ceiling = self.check(tmp_path, capsys, text)
+        assert ceiling > 0.002
+        assert "initial stable_dt exceeds snapshot_every: some ticks will be skipped" in out
+        out, _, ceiling = self.check(
+            tmp_path, capsys, text + "[solver]\nsnapshot_every = 0.01\n"
+        )
+        assert ceiling < 0.01
+        assert "ticks will be skipped" not in out
+
     def test_vacuum_tail_projects_an_unrunnable_step_count(self, tmp_path, capsys):
         # the 1/rho viscous rate of the near-empty tail cells pins the first
         # dt near 2e-15, below the step floor: no projection is printed

@@ -66,7 +66,7 @@ def uniform_state(grid, rho=0.5, vel=0.0):
 class TestSolverConfig:
     def test_defaults_build(self):
         cfg = SolverConfig(t_end=1.0)
-        assert cfg.cfl == 0.4 and cfg.force_form == "potential"
+        assert cfg.cfl == 0.4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,7 +78,6 @@ class TestSolverConfig:
             dict(t_end=1.0, barrier_tol=0.5),
             dict(t_end=1.0, max_substeps=0),
             dict(t_end=1.0, snapshot_every=0.0),
-            dict(t_end=1.0, force_form="magic"),
         ],
     )
     def test_rejects(self, kwargs):
@@ -164,38 +163,35 @@ class TestSoundSpeedAndDt:
 
 
 class TestStep:
-    @pytest.mark.parametrize("force_form", ["potential", "direct"])
-    def test_uniform_rest_is_fixed_point(self, force_form):
+    def test_uniform_rest_is_fixed_point(self):
         grid = Grid((1.0,), (32,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         state = uniform_state(grid, rho=0.5)
-        cfg = SolverConfig(t_end=1.0, force_form=force_form)
+        cfg = SolverConfig(t_end=1.0)
         law = make_singular(1e-3, 2.0, 4.0)
         new = step(state, 1e-3, law, FLUID, barrier, cfg)
         np.testing.assert_array_equal(new.rho_interior, state.rho_interior)
         np.testing.assert_array_equal(new.mom_interior, state.mom_interior)
         assert new.t == pytest.approx(1e-3)
 
-    @pytest.mark.parametrize("force_form", ["potential", "direct"])
-    def test_uniform_rest_fixed_point_2d(self, force_form):
+    def test_uniform_rest_fixed_point_2d(self):
         grid = Grid((1.0, 1.0), (12, 12))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         rho0 = np.full((12, 12), 0.4)
         state = make_state(grid, rho0, np.zeros((2, 12, 12)))
-        cfg = SolverConfig(t_end=1.0, force_form=force_form)
+        cfg = SolverConfig(t_end=1.0)
         new = step(state, 1e-3, make_singular(1e-3, 2.0, 4.0), FLUID, barrier, cfg)
         np.testing.assert_array_equal(new.rho_interior, rho0)
         assert np.all(new.mom_interior == 0.0)
 
-    @pytest.mark.parametrize("force_form", ["potential", "direct"])
-    def test_mass_is_conserved_exactly(self, force_form):
+    def test_mass_is_conserved_exactly(self):
         grid = Grid((1.0,), (64,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         x = grid.centers(0)
         rho0 = 0.4 + 0.2 * np.sin(2 * np.pi * x)
         mom0 = (0.1 * np.cos(2 * np.pi * x) * rho0)[None, :]
         state = make_state(grid, rho0, mom0)
-        cfg = SolverConfig(t_end=1.0, force_form=force_form)
+        cfg = SolverConfig(t_end=1.0)
         law = make_singular(1e-3, 2.0, 4.0)
         new = step(state, 5e-4, law, FLUID, barrier, cfg)
         assert np.sum(new.rho_interior) == pytest.approx(np.sum(rho0), rel=1e-14)
@@ -211,14 +207,13 @@ class TestStep:
         new = step(state, 2e-4, make_singular(1e-3, 2.0, 4.0), FLUID, barrier, cfg)
         assert np.sum(new.rho_interior) == pytest.approx(np.sum(rho0), rel=1e-13)
 
-    @pytest.mark.parametrize("force_form", ["potential", "direct"])
-    def test_pressure_pushes_away_from_bump(self, force_form):
+    def test_pressure_pushes_away_from_bump(self):
         grid = Grid((1.0,), (64,))
         barrier = build_barrier(ConstantBarrier(1.0), grid)
         x = grid.centers(0)
         rho0 = 0.4 + 0.3 * np.exp(-((x - 0.5) / 0.1) ** 2)
         state = make_state(grid, rho0, np.zeros((1, 64)))
-        cfg = SolverConfig(t_end=1.0, force_form=force_form)
+        cfg = SolverConfig(t_end=1.0)
         law = make_singular(1e-3, 2.0, 4.0)
         new = step(state, 1e-4, law, FLUID, barrier, cfg)
         mom = new.mom_interior[0]
