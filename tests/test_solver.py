@@ -13,6 +13,7 @@ from jamflow.domain import (
     TanhStepBarrier,
     build_barrier,
     make_state,
+    profile_values,
 )
 from jamflow.errors import (
     BarrierViolation,
@@ -220,6 +221,48 @@ class TestStep:
         # left of the bump momentum points left, right of it points right
         assert np.all(mom[5:27] < 0.0)
         assert np.all(mom[37:59] > 0.0)
+
+    def test_pressure_pushes_away_from_bump_2d(self):
+        grid = Grid((1.0, 1.0), (24, 24))
+        barrier = build_barrier(ConstantBarrier(1.0), grid)
+        xs, ys = grid.meshes()
+        rho0 = 0.4 + 0.3 * np.exp(-((xs - 0.5) ** 2 + (ys - 0.5) ** 2) / 0.15**2)
+        state = make_state(grid, rho0, np.zeros((2, 24, 24)))
+        cfg = SolverConfig(t_end=1.0)
+        new = step(state, 1e-4, make_singular(1e-3, 2.0, 4.0), FLUID, barrier, cfg)
+        mx, my = new.mom_interior
+        # on the bump's flanks the momentum points away from its center
+        band = slice(8, 16)
+        assert np.all(mx[4:11, band] < 0.0) and np.all(mx[13:20, band] > 0.0)
+        assert np.all(my[band, 4:11] < 0.0) and np.all(my[band, 13:20] > 0.0)
+        # the bump is symmetric under swapping x and y, and so is the push
+        np.testing.assert_allclose(mx, my.T, rtol=1e-12, atol=1e-15)
+
+    def test_potential_force_converges_to_the_direct_form(self):
+        # at rest the 2D momentum after one step is dt * -rho grad(enthalpy);
+        # against a falling barrier it must approach, at second order, the
+        # direct force grad(gas pressure) + barrier * grad(congestion pressure)
+        spec = TanhStepBarrier(1.0, 0.55, 0.5, 0.08)
+        law = make_singular(5e-2, 3.0, 3.0)
+        dt = 1e-6
+        errors = []
+        for n in (32, 64, 128):
+            grid = Grid((1.0, 1.0), (n, 4))
+            xs, _ = grid.meshes()
+            rho0 = 0.3 + 0.1 * np.cos(2 * np.pi * xs)
+            state = make_state(grid, rho0, np.zeros((2, n, 4)))
+            new = step(state, dt, law, FLUID, build_barrier(spec, grid), SolverConfig(t_end=1.0))
+            force = new.mom_interior / dt
+            bar, (dbar, _) = profile_values(spec, (xs, xs))
+            drho = -0.2 * np.pi * np.sin(2 * np.pi * xs)
+            r = rho0 / bar
+            g = FLUID.gamma
+            direct = -(g * rho0 ** (g - 1.0) * drho + law.pressure_deriv(r) * (drho - r * dbar))
+            keep = (xs > 0.1) & (xs < 0.9)
+            errors.append(np.abs(force[0] - direct)[keep].max() / np.abs(direct[keep]).max())
+            np.testing.assert_array_equal(force[1], 0.0)
+        assert errors[0] / errors[1] > 3.0 and errors[1] / errors[2] > 3.0
+        assert errors[2] < 2e-3
 
     def test_falling_barrier_pushes_toward_roomy_side(self):
         # uniform density against a barrier that drops along x: congestion
